@@ -21,6 +21,9 @@ RL004     pool-picklable        callables handed to process pools must
 RL005     warn-stacklevel       ``DeprecationWarning`` shims must warn
                                 with ``stacklevel=2`` so the caller is
                                 blamed, not the shim
+RL006     pool-outside-layer    process pools and start methods are
+                                chosen only in
+                                ``repro/verification/pool.py``
 ========  ====================  ========================================
 
 A finding on a line carrying ``# lint: allow(<rule-or-code>)`` is
@@ -75,12 +78,19 @@ _SCOPED_PARTS = ("verification", "api", "analysis")
 #: methods through which work is handed to a pool/executor
 _POOL_METHODS = frozenset({"submit", "map", "apply_async", "starmap"})
 
+#: calls that build a process pool or pick a start method (RL006)
+_POOL_PRIMITIVES = frozenset({"ProcessPoolExecutor", "get_all_start_methods"})
+
+#: the one module allowed to make them
+_POOL_LAYER = ("repro", "verification", "pool.py")
+
 RULES: dict[str, tuple[str, str]] = {
     "RL001": ("deprecated-shim", "call to a deprecated propagation shim"),
     "RL002": ("unseeded-rng", "unseeded RNG in a verification path"),
     "RL003": ("float-eq", "float equality against a non-zero literal"),
     "RL004": ("pool-picklable", "unpicklable callable handed to a pool"),
     "RL005": ("warn-stacklevel", "DeprecationWarning without stacklevel>=2"),
+    "RL006": ("pool-outside-layer", "process pool built outside the pool layer"),
 }
 
 _ALLOW_RE = re.compile(r"#\s*lint:\s*allow\(([^)]*)\)")
@@ -158,6 +168,7 @@ class _Checker(ast.NodeVisitor):
                  nested_defs: set[str]) -> None:
         self.path = path
         self.scoped = scoped
+        self.pool_layer = Path(path).parts[-3:] == _POOL_LAYER
         self.module_defs = module_defs
         self.nested_defs = nested_defs
         self.findings: list[LintFinding] = []
@@ -175,7 +186,7 @@ class _Checker(ast.NodeVisitor):
             )
         )
 
-    # -- RL001 / RL002 / RL004 / RL005 (all anchored on calls) -------------
+    # -- RL001 / RL002 / RL004 / RL005 / RL006 (all anchored on calls) -----
 
     def visit_Call(self, node: ast.Call) -> None:
         name = _call_name(node.func)
@@ -234,10 +245,26 @@ class _Checker(ast.NodeVisitor):
         ):
             self._check_picklable(node.args[0], node.func.attr)
 
-        if name and name.endswith("PoolExecutor"):
+        if name and name.endswith(("PoolExecutor", "WorkerPool")):
             for kw in node.keywords:
                 if kw.arg == "initializer":
                     self._check_picklable(kw.value, "initializer")
+
+        receiver = (
+            _call_name(node.func.value)
+            if isinstance(node.func, ast.Attribute)
+            else None
+        )
+        if not self.pool_layer and (
+            name in _POOL_PRIMITIVES
+            or (name == "get_context" and receiver in (None, "multiprocessing"))
+        ):
+            self._flag(
+                node,
+                "RL006",
+                f"{name}() outside repro/verification/pool.py; fan work "
+                f"out through repro.verification.pool.WorkerPool",
+            )
 
         if name == "warn":
             category = None

@@ -297,7 +297,7 @@ class CampaignReport:
     results: list[QueryResult]
     total_time: float
     workers: int
-    executor: str  #: "sequential", "process-pool[N]", or a fallback note
+    executor: str  #: "sequential", "process-pool[N]", or a degrade note
     cache_stats: dict[str, Any] = field(default_factory=dict)
 
     def __len__(self) -> int:

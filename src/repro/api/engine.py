@@ -44,9 +44,7 @@ afterwards).
 from __future__ import annotations
 
 import inspect
-import multiprocessing
 import time
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 
@@ -81,6 +79,7 @@ from repro.verification.milp.encoder import (
 )
 from repro.verification.milp.relaxed import encode_relaxed_problem
 from repro.verification.output_range import optimize_range, trivial_reachability_risk
+from repro.verification.pool import WorkerPool
 from repro.verification.prescreen import (
     output_enclosure,
     output_enclosure_batch,
@@ -88,7 +87,6 @@ from repro.verification.prescreen import (
 )
 from repro.verification.refinement import verify_with_refinement
 from repro.verification.robustness import verify_local_robustness
-from repro.verification import shm
 from repro.verification.sets import Box, BoxBatch, FeatureSet
 from repro.verification.solver import solver_spec
 from repro.verification.solver.lp import solve_lp_relaxation
@@ -224,8 +222,6 @@ class VerificationEngine:
         self.confusions: dict[str, ConfusionEstimate] = {}
         self._sets: dict[str, RegisteredFeatureSet] = {}
         self._refinement_images: np.ndarray | None = None
-        #: (ShmHandle, staged cache keys) while a parallel run is live
-        self._enclosure_shm: tuple[shm.ShmHandle, tuple] | None = None
         self._reset_caches()
 
     # -- cache plumbing ----------------------------------------------------
@@ -281,11 +277,6 @@ class VerificationEngine:
         state["_enclosure_cache"] = (
             dict(self._enclosure_cache) if self.cache_enabled else {}
         )
-        if self._enclosure_shm is not None:
-            # box enclosures staged in shared memory ride the ShmHandle
-            # instead of the pickle stream; workers re-attach them lazily
-            for key in self._enclosure_shm[1]:
-                state["_enclosure_cache"].pop(key, None)
         state["cache_stats"] = {}
         # the store holds a thread lock and an open-by-path log; workers
         # compute without it and the parent's copy keeps collecting
@@ -1434,17 +1425,15 @@ class VerificationEngine:
 
         Results are returned in query order regardless of worker
         scheduling, and each worker process builds its own encoding cache
-        (the engine is shipped once per worker, caches excluded).  If the
-        platform refuses to spawn processes the engine falls back to
-        sequential execution and says so in ``report.executor``.
+        (the engine is shipped once per worker, caches excluded).  If a
+        worker dies or no pool can start, the unfinished queries run
+        in-process and ``report.executor`` names the failure.
         """
         if isinstance(campaign, VerificationQuery):
             campaign = Campaign("query", [campaign])
         name, queries = as_queries(campaign)
         start = time.perf_counter()
         stats_before = dict(self.cache_stats)
-        executor = "sequential"
-        results: list[QueryResult] | None = None
 
         # campaigns repeat (set, characterizer, direction) families, so
         # eager support-function optimization amortizes; one-off
@@ -1452,16 +1441,14 @@ class VerificationEngine:
         self._campaign_mode = True
         self._plan_batched_prescreen(queries)
         try:
-            if workers > 1 and len(queries) > 1:
-                try:
-                    results = self._run_parallel(queries, workers)
-                    executor = f"process-pool[{workers}]"
-                except Exception as exc:  # no fork/spawn, unpicklable state, ...
-                    results = None
-                    executor = f"sequential (pool unavailable: {type(exc).__name__})"
-
-            if results is None:
-                results = [self.run_query_safe(query) for query in queries]
+            with WorkerPool(
+                workers if len(queries) > 1 else 1, initargs=(self,)
+            ) as pool:
+                results = pool.map(
+                    _worker_run,
+                    [(query,) for query in queries],
+                    fallback=self.run_query_safe,
+                )
         finally:
             self._campaign_mode = False
 
@@ -1476,7 +1463,7 @@ class VerificationEngine:
             results=results,
             total_time=total,
             workers=workers,
-            executor=executor,
+            executor=pool.label(f"process-pool[{workers}]"),
             cache_stats=cache_stats,
         )
 
@@ -1498,73 +1485,6 @@ class VerificationEngine:
         from repro.scenario.streaming import run_stream
 
         return run_stream(self, plan, risks, **options)
-
-    def _run_parallel(
-        self, queries: list[VerificationQuery], workers: int
-    ) -> list[QueryResult]:
-        methods = multiprocessing.get_all_start_methods()
-        context = multiprocessing.get_context(
-            "fork" if "fork" in methods else methods[0]
-        )
-        block = self._pack_enclosure_shm()
-        try:
-            with ProcessPoolExecutor(
-                max_workers=workers,
-                mp_context=context,
-                initializer=_worker_init,
-                initargs=(self,),
-            ) as pool:
-                return list(pool.map(_worker_run, queries))
-        finally:
-            self._enclosure_shm = None
-            if block is not None:
-                block.release()
-
-    def _pack_enclosure_shm(self) -> "shm.ShmBlock | None":
-        """Stage box-valued enclosure-cache entries in shared memory.
-
-        The batched prescreen plan can seed hundreds of output
-        enclosures before a parallel campaign; shipping them inside the
-        pickled engine copies every array into every worker's pipe.
-        Packing the :class:`~repro.verification.sets.Box` entries into
-        one shared segment sends only a tiny handle — workers attach the
-        segment once and rebuild the boxes as zero-copy read-only views.
-        Non-box enclosures (zonotopes, boxes-with-diffs) still pickle
-        through normally.  Returns the parent-side block to release once
-        the pool is done, or None when there is nothing to stage.
-        """
-        self._enclosure_shm = None
-        if not (self.cache_enabled and self._enclosure_cache and shm.available()):
-            return None
-        staged = [
-            (key, value)
-            for key, value in self._enclosure_cache.items()
-            if type(value) is Box
-        ]
-        if not staged:
-            return None
-        arrays: list[np.ndarray] = []
-        for _, box in staged:
-            arrays.append(box.lower)
-            arrays.append(box.upper)
-        block = shm.pack_arrays(arrays)
-        self._enclosure_shm = (block.handle, tuple(key for key, _ in staged))
-        return block
-
-    def _attach_enclosure_shm(self) -> None:
-        """Rebuild shm-staged box enclosures (worker side, post-unpickle)."""
-        if self._enclosure_shm is None:
-            return
-        handle, keys = self._enclosure_shm
-        self._enclosure_shm = None
-        try:
-            views = shm.attach(handle)
-        except (FileNotFoundError, OSError):  # parent released early
-            return
-        for index, key in enumerate(keys):
-            self._enclosure_cache[key] = Box(
-                views[2 * index], views[2 * index + 1]
-            )
 
     # -- deployment --------------------------------------------------------
 
@@ -1605,15 +1525,6 @@ class VerificationEngine:
         return verdict
 
 
-_WORKER_ENGINE: VerificationEngine | None = None
-
-
-def _worker_init(engine: VerificationEngine) -> None:
-    global _WORKER_ENGINE
-    _WORKER_ENGINE = engine
-    engine._attach_enclosure_shm()
-
-
-def _worker_run(query: VerificationQuery) -> QueryResult:
-    assert _WORKER_ENGINE is not None, "worker used before initialization"
-    return _WORKER_ENGINE.run_query_safe(query)
+def _worker_run(state: tuple, query: VerificationQuery) -> QueryResult:
+    (engine,) = state
+    return engine.run_query_safe(query)

@@ -36,13 +36,15 @@ from __future__ import annotations
 
 import threading
 import time
-from concurrent.futures import ProcessPoolExecutor, as_completed
+from concurrent.futures import as_completed
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, replace
 from typing import Any, Sequence
 
 from repro.api.campaign import Campaign, CampaignReport, QueryResult, as_queries
 from repro.api.query import Method, VerificationQuery
 from repro.core.verdict import Verdict
+from repro.verification.pool import WorkerPool, mp_context
 
 #: how often a racing worker re-checks the shared cancel event (and
 #: re-interrupts CEGAR loops created after the first check), seconds
@@ -381,25 +383,20 @@ class Portfolio:
 
         ``workers > 1`` races the configs of each query concurrently on
         a fork pool (losers cancelled cooperatively); otherwise each
-        query runs the adaptive-sequential race.  Query results land in
+        query runs the adaptive-sequential race.  If a worker dies, the
+        unfinished queries run the adaptive race in-process and the
+        executor label names the failure.  Query results land in
         campaign order either way.
         """
         if isinstance(campaign, VerificationQuery):
             campaign = Campaign("query", [campaign])
         name, queries = as_queries(campaign)
         start = time.perf_counter()
-        executor = "portfolio-adaptive"
-        results: list[QueryResult] | None = None
-
         if workers > 1 and len(self.racers) > 1:
-            try:
-                results = self._run_races_parallel(queries, workers)
-                executor = f"portfolio-race[{workers}]"
-            except Exception as exc:  # no fork/spawn, unpicklable state, ...
-                results = None
-                executor = f"portfolio-adaptive (pool unavailable: {type(exc).__name__})"
-        if results is None:
+            results, executor = self._run_races_parallel(queries, workers)
+        else:
             results = [self.run_query(query) for query in queries]
+            executor = "portfolio-adaptive"
 
         stats: dict[str, Any] = {"portfolio:races": len(self.race_log)}
         for racer_name, racer_stats in self.stats.items():
@@ -416,33 +413,24 @@ class Portfolio:
 
     def _run_races_parallel(
         self, queries: list[VerificationQuery], workers: int
-    ) -> list[QueryResult]:
-        import multiprocessing
-
-        methods = multiprocessing.get_all_start_methods()
-        context = multiprocessing.get_context(
-            "fork" if "fork" in methods else methods[0]
-        )
-        cancel_event = context.Event()
-        block = self.engine._pack_enclosure_shm()
+    ) -> tuple[list[QueryResult], str]:
+        cancel_event = mp_context().Event()
         results: list[QueryResult] = []
-        try:
-            with ProcessPoolExecutor(
-                max_workers=min(workers, len(self.racers)),
-                mp_context=context,
-                initializer=_racer_init,
-                initargs=(self.engine, cancel_event),
-            ) as pool:
-                for query in queries:
-                    results.append(self._race_parallel(pool, cancel_event, query))
-        finally:
-            self.engine._enclosure_shm = None
-            if block is not None:
-                block.release()
-        return results
+        with WorkerPool(
+            min(workers, len(self.racers)), initargs=(self.engine, cancel_event)
+        ) as pool:
+            for query in queries:
+                if pool.live:
+                    try:
+                        results.append(self._race_parallel(pool, cancel_event, query))
+                        continue
+                    except BrokenProcessPool as exc:
+                        pool.drop(exc)
+                results.append(self.run_query(query))
+        return results, pool.label(f"portfolio-race[{workers}]")
 
     def _race_parallel(
-        self, pool: ProcessPoolExecutor, cancel_event, query: VerificationQuery
+        self, pool: WorkerPool, cancel_event, query: VerificationQuery
     ) -> QueryResult:
         """One query's race: first sound decided answer wins, losers are
         interrupted at their next CEGAR round boundary."""
@@ -493,18 +481,7 @@ class Portfolio:
 
 # -- pool plumbing (module-level: pool callables must pickle) --------------
 
-_RACER_ENGINE = None
-_RACER_EVENT = None
-
-
-def _racer_init(engine, cancel_event) -> None:
-    global _RACER_ENGINE, _RACER_EVENT
-    _RACER_ENGINE = engine
-    _RACER_EVENT = cancel_event
-    engine._attach_enclosure_shm()
-
-
-def _racer_run(config: RacerConfig, query: VerificationQuery):
+def _racer_run(state: tuple, config: RacerConfig, query: VerificationQuery):
     """Run one racer in a pool worker under cooperative cancellation.
 
     A watcher thread polls the shared cancel event and — while it is set
@@ -512,8 +489,7 @@ def _racer_run(config: RacerConfig, query: VerificationQuery):
     created *after* the event was raised are still caught.  Returns
     ``(result, elapsed, saw_cancel)``.
     """
-    assert _RACER_ENGINE is not None and _RACER_EVENT is not None
-    engine, event = _RACER_ENGINE, _RACER_EVENT
+    engine, event = state
     stop = threading.Event()
     saw_cancel = False
 

@@ -39,6 +39,7 @@ from repro.interchange.instances import (
     combine_disjunct_verdicts,
     instance_engine,
 )
+from repro.verification.pool import WorkerPool
 
 #: default cegar subproblem budget when a cegar track does not set one
 _CEGAR_BUDGET = 32
@@ -258,14 +259,18 @@ def run_instance_daemon(
 
 
 def _run_cell(
-    track: Track, instance: BenchmarkInstance, timeout: float | None
+    _state: tuple,
+    track: Track,
+    instance: BenchmarkInstance,
+    timeout: float | None,
 ) -> InstanceOutcome:
     """One (track, instance) competition cell, self-contained.
 
-    The parallel runner's pool callable (module-level so it pickles):
-    loads model and property itself — workers share nothing, so every
-    cell's time stays attributable to its configuration alone — and
-    applies the same static-IR pre-check as the sequential loop.
+    The parallel runner's pool callable (module-level so it pickles;
+    the pool keeps no worker state): loads model and property itself —
+    workers share nothing, so every cell's time stays attributable to
+    its configuration alone — and applies the same static-IR pre-check
+    as the sequential loop.
     """
     try:
         model = instance.load_model()
@@ -309,23 +314,19 @@ def _run_cells_parallel(
     budget inside the worker — and the returned outcomes are ordered
     exactly as the sequential loop would have produced them.
     """
-    from concurrent.futures import ProcessPoolExecutor
-
-    cells = [(instance, track) for instance in instances for track in tracks]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = [
-            pool.submit(_run_cell, track, instance, timeout)
-            for instance, track in cells
-        ]
-        outcomes = []
-        for (instance, track), future in zip(cells, futures):
-            outcome = future.result()
-            outcomes.append(outcome)
-            if progress is not None:
-                progress(
-                    f"  {track.name:<18} {instance.name:<22} "
-                    f"{outcome.status:<8} {outcome.elapsed:7.3f}s"
-                )
+    cells = [(track, instance, timeout) for instance in instances for track in tracks]
+    with WorkerPool(workers) as pool:
+        outcomes = pool.map(
+            _run_cell, cells, fallback=lambda *cell: _run_cell((), *cell)
+        )
+    if progress is not None:
+        for outcome in outcomes:
+            progress(
+                f"  {outcome.track:<18} {outcome.instance:<22} "
+                f"{outcome.status:<8} {outcome.elapsed:7.3f}s"
+            )
+        if pool.failure is not None:
+            progress(f"  executor: {pool.label(f'process-pool[{workers}]')}")
     return outcomes
 
 
@@ -349,8 +350,9 @@ def run_competition(
     ``workers > 1`` fans the (instance, track) cells out over a process
     pool (ignored under ``daemon`` — the daemon is the executor there).
     Per-instance wall budgets still apply inside each worker, and the
-    outcome order matches the sequential loop.  Falls back to the
-    sequential loop if no pool can be constructed.
+    outcome order matches the sequential loop.  Cells a dead worker
+    left unfinished, or every cell when no pool can start, run
+    in-process.
     """
     tracks = list(tracks) if tracks else None
     if not tracks:
@@ -372,12 +374,9 @@ def run_competition(
     start = time.perf_counter()
     outcomes: list[InstanceOutcome] = []
     if workers > 1 and client is None:
-        try:
-            outcomes = _run_cells_parallel(
-                instances, tracks, timeout, workers, progress
-            )
-        except Exception:  # no pool on this platform — run sequentially
-            outcomes = []
+        outcomes = _run_cells_parallel(
+            instances, tracks, timeout, workers, progress
+        )
     if outcomes:
         scores = [score_track(track.name, outcomes) for track in tracks]
         return CompetitionReport(

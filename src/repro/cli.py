@@ -618,7 +618,7 @@ def _lint(args: argparse.Namespace) -> int:
 
     if args.list_rules:
         for code, (rule, description) in sorted(RULES.items()):
-            print(f"{code}  {rule:16s} {description}")
+            print(f"{code}  {rule:19s} {description}")
         return 0
     findings = lint_paths(
         args.paths, select=args.select or None, ignore=args.ignore or None

@@ -21,10 +21,9 @@ with a *stream*:
   :class:`StreamReport` (verdict histogram + ODD-coverage per
   perturbation axis) whose peak memory is O(shard), not O(grid).
 
-Shards cross the process-pool boundary through the
-:mod:`repro.verification.shm` zero-copy path: the parent packs each
-shard's stacked bounds into one shared segment and ships only the
-handle; workers attach read-only views.
+Shards cross the process-pool boundary through
+:class:`~repro.verification.pool.WorkerPool`, which ships each shard's
+stacked bounds in shared memory; workers read them as read-only views.
 
 Verdict parity with the eager path is by construction: prescreen
 decisions reuse the exact same propagation and enclosure calls at the
@@ -38,8 +37,6 @@ from __future__ import annotations
 
 import math
 import time
-from collections import deque
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Any, Callable, Iterator, Sequence
 
@@ -56,7 +53,7 @@ from repro.scenario.regions import (
     ensure_regions_fit,
 )
 from repro.scenario.render import render_ground, render_vehicles
-from repro.verification import shm
+from repro.verification.pool import WorkerPool
 from repro.verification.abstraction.domain import get_domain, precision_ladder
 from repro.verification.abstraction.propagate import propagate_regions
 from repro.verification.counterexample import (
@@ -745,28 +742,12 @@ def _decide_shard(
 
 # -- process-pool plumbing (module-level: pool callables must pickle) ------
 
-_STREAM_ENGINE: "VerificationEngine | None" = None
-_STREAM_RISKS: "Sequence[RiskCondition] | None" = None
-_STREAM_OPTIONS: _StreamOptions | None = None
-
-
-def _stream_worker_init(engine, risks, options) -> None:
-    global _STREAM_ENGINE, _STREAM_RISKS, _STREAM_OPTIONS
-    _STREAM_ENGINE = engine
-    _STREAM_RISKS = risks
-    _STREAM_OPTIONS = options
-    engine._attach_enclosure_shm()
-
-
-def _stream_worker_run(task) -> ShardOutcome:
-    """Rebuild one shard from its zero-copy payload and decide it."""
-    assert _STREAM_ENGINE is not None and _STREAM_OPTIONS is not None
-    assert _STREAM_RISKS is not None
-    shard_index, handle, payload, names, scenes, axes, config = task
-    if handle is not None:
-        lower, upper = shm.attach(handle)
-    else:
-        lower, upper = payload
+def _stream_worker_run(
+    state: tuple, index, lower, upper, names, scenes, axes, config
+) -> ShardOutcome:
+    """Rebuild one shard from its task (see :func:`_shard_tasks`) and
+    decide it."""
+    engine, risks, options = state
     regions = [
         Region(
             name=names[i],
@@ -778,12 +759,22 @@ def _stream_worker_run(task) -> ShardOutcome:
         for i in range(len(names))
     ]
     return _decide_shard(
-        _STREAM_ENGINE,
-        shard_index,
-        RegionGrid(regions, config),
-        _STREAM_RISKS,
-        _STREAM_OPTIONS,
+        engine, index, RegionGrid(regions, config), risks, options
     )
+
+
+def _shard_tasks(plan: StreamPlan) -> Iterator[tuple]:
+    """Pool tasks: each shard's stacked bounds plus region metadata."""
+    for index, grid in enumerate(stream_scenario_regions(plan)):
+        yield (
+            index,
+            np.stack([r.lower for r in grid]),
+            np.stack([r.upper for r in grid]),
+            grid.names,
+            [r.scene for r in grid],
+            [r.axes for r in grid],
+            grid.config,
+        )
 
 
 def run_stream(
@@ -808,7 +799,8 @@ def run_stream(
     same parameters, but with O(shard) peak memory and an attack-first
     pass that spares the solver every falsifiable region.  ``workers >
     1`` ships shards to a process pool through shared memory; the
-    parent only ever holds the bounded number of in-flight shards.
+    parent only ever holds the bounded number of in-flight shards, and
+    shards a dead worker left undecided are decided in-process.
     """
     if not risks:
         raise ValueError("run_stream needs at least one risk condition")
@@ -829,20 +821,22 @@ def run_stream(
         portfolio=portfolio,
     )
     start = time.perf_counter()
-    outcomes: dict[int, ShardOutcome] = {}
+    outcomes: list[ShardOutcome] = []
     executor = "sequential"
-
     if workers > 1:
-        try:
-            executor = f"process-pool[{workers}]"
-            _run_stream_parallel(engine, plan, risks, options, workers, outcomes)
-        except Exception as exc:  # no fork/spawn, unpicklable state, ...
-            outcomes.clear()
-            executor = f"sequential (pool unavailable: {type(exc).__name__})"
-
-    if not outcomes:
+        state = (engine, tuple(risks), options)
+        with WorkerPool(workers, initargs=state) as pool:
+            outcomes = pool.map(
+                _stream_worker_run,
+                _shard_tasks(plan),
+                fallback=lambda *task: _stream_worker_run(state, *task),
+                # bound in-flight shards: parent memory stays O(workers * shard)
+                window=workers + 2,
+            )
+        executor = pool.label(f"process-pool[{workers}]")
+    else:
         for index, grid in enumerate(stream_scenario_regions(plan)):
-            outcomes[index] = _decide_shard(engine, index, grid, risks, options)
+            outcomes.append(_decide_shard(engine, index, grid, risks, options))
             if progress is not None:
                 progress(
                     f"shard {index}: {outcomes[index].n_queries} queries "
@@ -856,8 +850,7 @@ def run_stream(
     results: "list[QueryResult] | None" = [] if collect_results else None
     total_regions = 0
     total_queries = 0
-    for index in sorted(outcomes):
-        outcome = outcomes[index]
+    for outcome in outcomes:
         total_regions += outcome.n_regions
         total_queries += outcome.n_queries
         for key, count in outcome.verdict_counts.items():
@@ -919,58 +912,3 @@ def stream_enclosure_range(
     if not math.isfinite(lo):
         raise ValueError("stream_enclosure_range over an empty plan")
     return lo, hi
-
-
-def _run_stream_parallel(
-    engine: "VerificationEngine",
-    plan: StreamPlan,
-    risks: "Sequence[RiskCondition]",
-    options: _StreamOptions,
-    workers: int,
-    outcomes: dict[int, ShardOutcome],
-) -> None:
-    """Fan shards out over a fork pool via the shm zero-copy path."""
-    import multiprocessing
-
-    methods = multiprocessing.get_all_start_methods()
-    context = multiprocessing.get_context(
-        "fork" if "fork" in methods else methods[0]
-    )
-    use_shm = shm.available()
-    # bound in-flight shards: parent memory stays O(workers * shard)
-    max_inflight = workers + 2
-    inflight: deque = deque()
-
-    def drain_one() -> None:
-        future, block = inflight.popleft()
-        try:
-            outcome = future.result()
-        finally:
-            if block is not None:
-                block.release()
-        outcomes[outcome.shard_index] = outcome
-
-    with ProcessPoolExecutor(
-        max_workers=workers,
-        mp_context=context,
-        initializer=_stream_worker_init,
-        initargs=(engine, tuple(risks), options),
-    ) as pool:
-        for index, grid in enumerate(stream_scenario_regions(plan)):
-            lower = np.stack([r.lower for r in grid])
-            upper = np.stack([r.upper for r in grid])
-            block = shm.pack_arrays([lower, upper]) if use_shm else None
-            task = (
-                index,
-                block.handle if block is not None else None,
-                None if block is not None else (lower, upper),
-                grid.names,
-                [r.scene for r in grid],
-                [r.axes for r in grid],
-                grid.config,
-            )
-            inflight.append((pool.submit(_stream_worker_run, task), block))
-            if len(inflight) >= max_inflight:
-                drain_one()
-        while inflight:
-            drain_one()

@@ -46,6 +46,10 @@ class _Handler(BaseHTTPRequestHandler):
     """Routes requests to the service attached to the server."""
 
     protocol_version = "HTTP/1.1"
+    # headers and body go out in two writes; with Nagle on, the body of
+    # every response on a kept-alive connection waits for the client's
+    # delayed ACK of the headers (~40 ms)
+    disable_nagle_algorithm = True
     server: "ServiceServer"
 
     # -- plumbing ----------------------------------------------------------

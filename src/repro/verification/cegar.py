@@ -42,11 +42,8 @@ resumes exactly where the previous one stopped.
 from __future__ import annotations
 
 import heapq
-import multiprocessing
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -71,7 +68,7 @@ from repro.verification.abstraction.propagate import region_boxes
 from repro.verification.ir import lowered_full
 from repro.verification.output_range import trivial_reachability_risk
 from repro.verification.prescreen import prescreen_batch, screen_enclosure, output_enclosure
-from repro.verification import shm
+from repro.verification.pool import WorkerPool
 from repro.verification.sets import Box, BoxBatch, bisect_bounds
 from repro.verification.solver import solver_spec
 from repro.verification.solver.result import SolveResult, SolveStatus
@@ -409,9 +406,6 @@ class _ScopedLeafSolver:
 
 # -- process-pool plumbing (frontier-parallel leaf solves) -------------------
 
-_POOL_SOLVER: _ScopedLeafSolver | None = None
-
-
 def _pool_leaf_init(
     suffix: PiecewiseLinearNetwork,
     root_lower: np.ndarray,
@@ -419,34 +413,18 @@ def _pool_leaf_init(
     risk: RiskCondition,
     solver: str,
     solver_options: dict,
-) -> None:
-    global _POOL_SOLVER
-    _POOL_SOLVER = _ScopedLeafSolver.fresh(
+) -> _ScopedLeafSolver:
+    return _ScopedLeafSolver.fresh(
         suffix, Box(root_lower, root_upper), risk, solver, solver_options
     )
 
 
-def _pool_leaf_solve(bounds: tuple[np.ndarray, np.ndarray]) -> SolveResult:
-    assert _POOL_SOLVER is not None, "pool worker used before initialization"
-    return _POOL_SOLVER.solve(Box(bounds[0], bounds[1]))
-
-
-def _pool_leaf_solve_shm(task: tuple["shm.ShmHandle", int]) -> SolveResult:
-    """Solve leaf ``index`` of a shared-memory round batch.
-
-    The round's stacked leaf bounds live in one shared segment packed
-    by the parent (:meth:`CegarLoop._solve_leaves`); the task payload
-    is just the segment handle plus an index, so nothing box-sized is
-    pickled per leaf.
-    """
-    assert _POOL_SOLVER is not None, "pool worker used before initialization"
-    handle, index = task
-    lower, upper = shm.attach(handle)
-    # copy out of the segment: the parent unlinks it after the round,
-    # and the solver may hold bounds past this call
-    return _POOL_SOLVER.solve(
-        Box(lower[index].copy(), upper[index].copy())
-    )
+def _pool_leaf_solve(
+    solver: _ScopedLeafSolver, lower: np.ndarray, upper: np.ndarray
+) -> SolveResult:
+    # copy out of the round's shared segment: the parent releases it
+    # once the chunk settles, and the solver may hold bounds past this call
+    return solver.solve(Box(lower.copy(), upper.copy()))
 
 
 class CegarLoop:
@@ -542,9 +520,7 @@ class CegarLoop:
         self._parked: list[Subproblem] = []
         self.decided_volume = 0.0
         self.subproblems_processed = 0
-        self._pool_workers = 1
-        self._pool_size = 1
-        self._pool: ProcessPoolExecutor | None = None
+        self._pool: WorkerPool | None = None
         self._poisoned = False
         self._interrupted = False
         self.counterexample: InputCounterexample | None = None
@@ -560,7 +536,6 @@ class CegarLoop:
         self._merged_leaf_solver: _ScopedLeafSolver | None = None
         self._merged_leaf_version = -1
         self._pool_merge_version = 0
-        self._requested_workers = 1
 
     # -- queue ------------------------------------------------------------
 
@@ -851,67 +826,24 @@ class CegarLoop:
     def _solve_leaves(
         self, leaves: list[tuple[Subproblem, Box]]
     ) -> list[SolveResult]:
-        if not leaves:
-            return []
-        if self._pool is not None and len(leaves) > 1:
-            # chunk so per-task IPC amortizes over several tiny solves;
-            # sized from the worker count captured at pool creation, not
-            # from self._pool_workers (a degrade resets that to 1, which
-            # would silently collapse later rounds into one giant chunk)
-            chunk = max(1, len(leaves) // (4 * self._pool_size))
-            block: shm.ShmBlock | None = None
-            try:
-                if shm.available():
-                    # one segment per round: tasks carry (handle, index)
-                    # instead of a pickled box each
-                    block = shm.pack_arrays(
-                        [
-                            np.stack([b.lower for _, b in leaves]),
-                            np.stack([b.upper for _, b in leaves]),
-                        ]
-                    )
-                    tasks = [
-                        (block.handle, i) for i in range(len(leaves))
-                    ]
-                    return list(
-                        self._pool.map(
-                            _pool_leaf_solve_shm, tasks, chunksize=chunk
-                        )
-                    )
-                return list(
-                    self._pool.map(
-                        _pool_leaf_solve,
-                        [(b.lower, b.upper) for _, b in leaves],
-                        chunksize=chunk,
-                    )
-                )
-            except BrokenProcessPool:
-                # pool died mid-run: degrade to sequential, visibly —
-                # and drop the dead executor so later rounds don't
-                # re-submit to it (each submit would raise and leak the
-                # broken worker bookkeeping until run() exits)
-                self._discard_pool()
-                self._pool_workers = 1
-            finally:
-                if block is not None:
-                    block.release()
-            # genuine solve errors (not pool infrastructure) propagate
-        results = []
-        for _, box in leaves:
-            solver = self._current_leaf_solver()  # per-solve re-encode if not reusing
-            results.append(solver.solve(box))
-        return results
+        if self._pool is None or len(leaves) < 2:
+            # per-solve re-encode if not reusing
+            return [self._current_leaf_solver().solve(box) for _, box in leaves]
 
-    def _discard_pool(self) -> None:
-        """Drop the round pool (idempotent; tolerates broken executors)."""
-        pool, self._pool = self._pool, None
-        if pool is not None:
-            try:
-                pool.shutdown(wait=False, cancel_futures=True)
-            except Exception:  # pragma: no cover - broken-pool teardown
-                pass
+        def solve(lower: np.ndarray, upper: np.ndarray) -> SolveResult:
+            return self._current_leaf_solver().solve(Box(lower, upper))
 
-    def _make_pool(self, workers: int) -> ProcessPoolExecutor | None:
+        # chunk so per-task IPC amortizes over several tiny solves; sized
+        # from the pool width at creation, which a degrade leaves alone
+        chunk = max(1, len(leaves) // (4 * self._pool.workers))
+        return self._pool.map(
+            _pool_leaf_solve,
+            [(box.lower, box.upper) for _, box in leaves],
+            fallback=solve,
+            chunksize=chunk,
+        )
+
+    def _make_pool(self, workers: int) -> WorkerPool | None:
         """One pool per :meth:`run` call, shared by every round's leaves.
 
         ``workers`` is a *cap*: the loop never spawns more processes
@@ -921,51 +853,38 @@ class CegarLoop:
         ``bench_campaign.py`` records for campaign pools).
         """
         workers = min(workers, os.cpu_count() or 1)
-        self._pool_workers = workers
-        self._pool_size = max(workers, 1)
         if workers <= 1 or self.config.solver is None:
-            self._pool_workers = 1
             return None
-        try:
-            methods = multiprocessing.get_all_start_methods()
-            context = multiprocessing.get_context(
-                "fork" if "fork" in methods else methods[0]
-            )
-            root_cut = self._root_box_at_cut()
-            # workers encode the ACTIVE program: the merged suffix when
-            # the structural axis still has merged groups
-            suffix, risk = self._active_suffix_risk()
-            self._pool_merge_version = self._merge_version
-            return ProcessPoolExecutor(
-                max_workers=workers,
-                mp_context=context,
-                initializer=_pool_leaf_init,
-                initargs=(
-                    suffix,
-                    root_cut.lower,
-                    root_cut.upper,
-                    risk,
-                    self.config.solver,
-                    dict(self.config.solver_options),
-                ),
-            )
-        except Exception:
-            # no multiprocessing on this platform: solve in-process and
-            # record it so results don't claim parallelism that never ran
-            self._pool_workers = 1
-            return None
+        root_cut = self._root_box_at_cut()
+        # workers encode the ACTIVE program: the merged suffix when
+        # the structural axis still has merged groups
+        suffix, risk = self._active_suffix_risk()
+        self._pool_merge_version = self._merge_version
+        return WorkerPool(
+            workers,
+            initializer=_pool_leaf_init,
+            initargs=(
+                suffix,
+                root_cut.lower,
+                root_cut.upper,
+                risk,
+                self.config.solver,
+                dict(self.config.solver_options),
+            ),
+        )
 
     def _refresh_pool_if_stale(self) -> None:
         """Rebuild the round pool after a mid-run structural refinement.
 
         Workers hold an encoding of the merge state they were forked
-        with; a version bump makes it stale.  A pool already degraded
-        to ``None`` (e.g. after a ``BrokenProcessPool``) stays
-        sequential — refinement must not resurrect dead workers.
+        with; a version bump makes it stale.  A pool that already
+        degraded (e.g. after a ``BrokenProcessPool``) stays sequential —
+        refinement must not resurrect dead workers.
         """
-        if self._pool is not None and self._pool_merge_version != self._merge_version:
-            self._discard_pool()
-            self._pool = self._make_pool(self._requested_workers)
+        pool = self._pool
+        if pool is not None and pool.live and self._pool_merge_version != self._merge_version:
+            pool.close()
+            self._pool = self._make_pool(pool.workers)
 
     # -- structural refinement (second CEGAR axis) ------------------------
 
@@ -1047,7 +966,8 @@ class CegarLoop:
             Process-pool width cap for the leaf-solve rung (``1``
             solves in-process, sharing the injected/cached encoding;
             the cap is further limited to the machine's core count —
-            see :meth:`_make_pool`).
+            see :meth:`_make_pool`).  A worker that dies mid-run
+            degrades the rest of the run to in-process solves.
 
         Returns
         -------
@@ -1064,7 +984,6 @@ class CegarLoop:
         start = time.perf_counter()
         self._interrupted = False
         processed_before = self.subproblems_processed
-        self._requested_workers = workers
         self._pool = self._make_pool(workers)
         try:
             return self._run_rounds(budget, processed_before, start)
@@ -1077,7 +996,7 @@ class CegarLoop:
         finally:
             pool, self._pool = self._pool, None
             if pool is not None:
-                pool.shutdown()
+                pool.close()
 
     def _run_rounds(
         self,
@@ -1214,7 +1133,9 @@ class CegarLoop:
             elapsed=time.perf_counter() - start,
             parked=len(self._parked),
             queued=len(self._queue),
-            workers_used=self._pool_workers,
+            workers_used=(
+                self._pool.workers if self._pool is not None and self._pool.live else 1
+            ),
         )
 
 

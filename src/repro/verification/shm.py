@@ -1,25 +1,14 @@
 """Zero-copy shared-memory handoff of array batches to pool workers.
 
-The campaign and CEGAR pools fork workers and then ship work through
-pickled task payloads.  For region batches that payload is dominated by
-the numpy arrays themselves — every leaf box, every enclosure batch is
-serialized per task, copied into the pipe, and deserialized on the
-other side.  This module replaces that with POSIX shared memory
+Pickled task payloads of region batches are dominated by the numpy
+arrays themselves.  This module replaces that with POSIX shared memory
 (:mod:`multiprocessing.shared_memory`): the parent packs a batch of
-arrays into one segment **once per round**, tasks carry only a tiny
-picklable :class:`ShmHandle` (segment name + array specs + index), and
-workers attach the segment once and read the arrays in place.
-
-Lifecycle
----------
-
-- **parent**: ``block = pack_arrays([...])`` → submit tasks carrying
-  ``block.handle`` → after the round completes, ``block.release()``
-  (close + unlink).  On Linux the unlink removes the name immediately;
-  worker mappings stay valid until they close.
-- **worker**: ``arrays = attach(handle)`` — attaches the segment on
-  first sight and caches the mapping by name (a bounded FIFO cache;
-  rounds are strictly ordered, so evicting the oldest segment is safe).
+arrays into one segment, tasks carry only a tiny picklable
+:class:`ShmHandle` (segment name + array specs), and workers attach the
+segment once and read the arrays in place.  The segment lifecycle —
+pack per submitted chunk, release once it settles, succeeded or failed
+— belongs to :class:`repro.verification.pool.WorkerPool`; ``attach``
+caches worker mappings in a bounded FIFO.
 
 Workers must treat attached arrays as **read-only** — they are views
 into memory shared with the parent and every sibling worker.

@@ -99,9 +99,28 @@ class TestPoolPicklable:
         assert codes(source) == ["RL004"]
 
     def test_positive_initializer_lambda(self):
+        # outside the pool layer the executor itself is RL006 as well
         assert codes(
             "pool = ProcessPoolExecutor(4, initializer=lambda: init())"
-        ) == ["RL004"]
+        ) == ["RL004", "RL006"]
+
+    def test_positive_lambdas_handed_to_the_pool_layer(self):
+        source = """
+            with WorkerPool(2, initializer=lambda: state()) as pool:
+                pool.map(lambda state, x: x, tasks, fallback=run)
+        """
+        assert codes(source) == ["RL004", "RL004"]
+
+    def test_negative_layer_fallback_may_be_a_lambda(self):
+        # the fallback runs in-process; only the task function pickles
+        source = """
+            def work(state, item):
+                return item
+
+            def run_all(pool, items):
+                return pool.map(work, items, fallback=lambda i: i)
+        """
+        assert codes(source) == []
 
     def test_negative_module_level_callable(self):
         source = """
@@ -115,6 +134,40 @@ class TestPoolPicklable:
 
     def test_negative_non_pool_receiver(self):
         assert codes("queue.submit(lambda: 1)") == []
+
+
+class TestPoolOutsideLayer:
+    def test_positive_executor(self):
+        assert codes("pool = ProcessPoolExecutor(max_workers=2)") == ["RL006"]
+
+    def test_positive_start_method_choice(self):
+        source = """
+            import multiprocessing
+            from multiprocessing import get_context
+
+            methods = multiprocessing.get_all_start_methods()
+            ctx = multiprocessing.get_context(methods[0])
+            other = get_context("fork")
+        """
+        assert codes(source) == ["RL006", "RL006", "RL006"]
+
+    def test_positive_out_of_scope_path(self):
+        assert codes("ProcessPoolExecutor(2)", path=UNSCOPED) == ["RL006"]
+
+    def test_negative_the_pool_layer_itself(self):
+        source = """
+            ctx = multiprocessing.get_context("fork")
+            pool = ProcessPoolExecutor(max_workers=2, mp_context=ctx)
+        """
+        assert codes(source, path="src/repro/verification/pool.py") == []
+
+    def test_negative_unrelated_get_context(self):
+        assert codes("ctx = self.get_context()") == []
+
+    def test_suppression(self):
+        assert codes(
+            "pool = ProcessPoolExecutor(2)  # lint: allow(pool-outside-layer)"
+        ) == []
 
 
 class TestWarnStacklevel:
@@ -187,7 +240,9 @@ class TestDriver:
         assert render_findings([]) == "clean: 0 findings"
 
     def test_rule_table_is_complete(self):
-        assert set(RULES) == {"RL001", "RL002", "RL003", "RL004", "RL005"}
+        assert set(RULES) == {
+            "RL001", "RL002", "RL003", "RL004", "RL005", "RL006"
+        }
 
 
 class TestSelfClean:

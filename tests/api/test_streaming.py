@@ -11,10 +11,16 @@ to the eager grid at O(shard) memory:
 - coverage-guided sampling visits distinct, in-range regions and
   reports coverage for exactly the sampled population;
 - the memory guard rejects eager grids that cannot fit, pointing at
-  the streaming path, while ``run_stream`` itself stays unguarded.
+  the streaming path, while ``run_stream`` itself stays unguarded;
+- a pool worker killed mid-sweep costs neither a verdict nor a
+  shared-memory segment.
 """
 
 from __future__ import annotations
+
+import os
+import signal
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,6 +31,7 @@ from repro.api import Campaign, VerificationEngine
 from repro.nn import Dense, Flatten, ReLU, Sequential
 from repro.properties.library import steer_far_left
 from repro.scenario import regions as regions_mod
+from repro.scenario import streaming as streaming_mod
 from repro.scenario.regions import (
     RegionMemoryError,
     ensure_regions_fit,
@@ -173,6 +180,40 @@ class TestVerdictParity:
         # (which needs every QueryResult) must refuse, not return empty
         with pytest.raises(ValueError):
             report.campaign_report("nope")
+
+
+class TestWorkerDeath:
+    @pytest.mark.skipif(not Path("/dev/shm").is_dir(), reason="no /dev/shm")
+    def test_killed_worker_leaks_no_shm_and_keeps_decided_shards(
+        self, engine, enclosure_range, monkeypatch
+    ):
+        """Regression: a worker SIGKILLed while deciding shard 1 used to
+        leave the in-flight shards' segments in /dev/shm and throw every
+        decided shard away under a "pool unavailable" label."""
+        lo, hi = enclosure_range
+        risks = [
+            steer_far_left(round(hi + 0.25, 3)),
+            steer_far_left(round(0.5 * (lo + hi), 3)),
+        ]
+        plan = StreamPlan(n_scenes=8, shard_size=2)
+        expected = run_stream(engine, plan, risks, workers=1)
+
+        parent = os.getpid()
+        decide = streaming_mod._decide_shard
+
+        def dies_on_shard_1(engine, shard_index, *args):
+            if shard_index == 1 and os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return decide(engine, shard_index, *args)
+
+        monkeypatch.setattr(streaming_mod, "_decide_shard", dies_on_shard_1)
+        before = set(os.listdir("/dev/shm"))
+        report = run_stream(engine, plan, risks, workers=2)
+        assert set(os.listdir("/dev/shm")) - before == set()
+        assert report.verdict_counts == expected.verdict_counts
+        assert report.executor == (
+            "process-pool[2] (degraded to in-process: BrokenProcessPool)"
+        )
 
 
 class TestCoverageSampling:

@@ -18,10 +18,13 @@ together with the change that motivated it.
 
 from __future__ import annotations
 
+import http.client
 import json
 import re
+import statistics
 import sys
 import tempfile
+import time
 import urllib.error
 import urllib.request
 from pathlib import Path
@@ -118,6 +121,26 @@ class TestRoutes:
         assert metrics["jobs"]["done"] == 1
         assert metrics["engines"] == 1
         assert metrics["store"]["puts"] == 1
+
+
+class TestKeepAlive:
+    def test_kept_alive_connection_does_not_stall(self, server):
+        """Regression: with Nagle's algorithm on, each response on a
+        reused connection waited ~40 ms for the client's delayed ACK."""
+        host, port = server.server_address[:2]
+        conn = http.client.HTTPConnection(host, port, timeout=10)
+        times = []
+        try:
+            for _ in range(20):
+                start = time.perf_counter()
+                conn.request("GET", "/healthz")
+                response = conn.getresponse()
+                response.read()
+                times.append(time.perf_counter() - start)
+                assert response.status == 200
+        finally:
+            conn.close()
+        assert statistics.median(times) < 0.010, times
 
 
 class TestErrors:

@@ -402,6 +402,32 @@ class TestFaultIsolation:
         assert "escape" in job.error or "No such file" in job.error
 
 
+class TestJobsNeverFork:
+    """Job threads share a multi-threaded daemon, where forking a
+    process pool is unsafe: CEGAR jobs run with one leaf worker and
+    portfolio jobs race sequentially, so no job starts a pool."""
+
+    @pytest.mark.parametrize("method", ["cegar", "portfolio"])
+    def test_job_reaches_done_without_a_process_pool(
+        self, service, monkeypatch, method
+    ):
+        from repro.verification import pool as pool_module
+
+        started = []
+
+        def refuse(*args, **kwargs):
+            started.append(kwargs)
+            raise AssertionError("a service job started a process pool")
+
+        monkeypatch.setattr(pool_module, "ProcessPoolExecutor", refuse)
+        job = submit_wait(
+            service,
+            {"model": "model.onnx", "property": "hard.vnnlib", "method": method},
+        )
+        assert job.state is JobState.DONE, job.error
+        assert started == []
+
+
 class TestPayloadValidation:
     def test_unknown_fields_are_rejected(self, service):
         with pytest.raises(ValueError, match="unknown job fields"):

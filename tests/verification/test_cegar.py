@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import json
 import pickle
+from concurrent.futures import Future
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
@@ -20,8 +22,9 @@ from repro.verification.cegar import (
 )
 from repro.verification.milp.encoder import encode_verification_problem
 from repro.verification.output_range import trivial_reachability_risk
+from repro.verification.pool import WorkerPool
 from repro.verification.sets import Box
-from repro.verification.solver.result import SolveStatus
+from repro.verification.solver.result import SolveResult, SolveStatus
 
 
 @pytest.fixture(scope="module")
@@ -41,6 +44,14 @@ def reachable(model):
 
 def _risk(threshold: float) -> RiskCondition:
     return RiskCondition("y0-high", (output_geq(2, 0, threshold),))
+
+
+def _pool_with_executor(executor, workers: int) -> WorkerPool:
+    """A ``workers``-wide layer pool whose executor is a test double."""
+    pool = WorkerPool(workers)
+    pool.close()  # the real executor never started a process
+    pool._executor = executor
+    return pool
 
 
 class TestVerdicts:
@@ -225,10 +236,10 @@ class TestWorkers:
         root = region_boxes(
             model, BoxBatch(np.zeros((1, 4)), np.ones((1, 4))), 2
         ).box(0)
-        _pool_leaf_init(
+        solver = _pool_leaf_init(
             suffix, root.lower, root.upper, _risk(reachable[1] + 50.0), "highs", {}
         )
-        result = _pool_leaf_solve((root.lower, root.upper))
+        result = _pool_leaf_solve(solver, root.lower, root.upper)
         assert result.status is SolveStatus.UNSAT
 
 
@@ -338,8 +349,10 @@ class TestPoolLifecycle:
     Two bugs flushed out by the shared-memory handoff work: a pool that
     died mid-round used to stay referenced (every later round re-raised
     ``BrokenProcessPool`` against the dead executor), and the map chunk
-    size was derived from ``_pool_workers`` — which the degrade path
-    resets to 1, silently collapsing later rounds into one giant chunk.
+    size was derived from the live worker count — which the degrade
+    path resets to 1, silently collapsing later rounds into one giant
+    chunk.  The loop's pool is a :class:`WorkerPool`; these tests swap
+    its executor for test doubles.
     """
 
     @staticmethod
@@ -347,8 +360,6 @@ class TestPoolLifecycle:
         class FakeLeafSolver:
             def solve(self, box):
                 solved.append(box)
-                from repro.verification.solver.result import SolveResult
-
                 return SolveResult(status=SolveStatus.UNSAT)
 
         return CegarLoop(
@@ -370,69 +381,70 @@ class TestPoolLifecycle:
         ]
 
     def test_broken_pool_is_dropped_and_round_degrades(self, model):
-        from concurrent.futures.process import BrokenProcessPool
-
         solved: list = []
         loop = self._loop_with_fake_solver(model, solved)
 
-        class DeadPool:
+        class DeadExecutor:
+            submits = 0
             shutdowns = 0
 
-            def map(self, *args, **kwargs):
-                raise BrokenProcessPool("worker died")
+            def submit(self, *args, **kwargs):
+                DeadExecutor.submits += 1
+                future = Future()
+                future.set_exception(BrokenProcessPool("worker died"))
+                return future
 
             def shutdown(self, wait=True, cancel_futures=False):
-                DeadPool.shutdowns += 1
+                DeadExecutor.shutdowns += 1
 
-        loop._pool = DeadPool()
-        loop._pool_size = 2
-        loop._pool_workers = 2
-
+        loop._pool = _pool_with_executor(DeadExecutor(), workers=2)
         results = loop._solve_leaves(self._leaves(3))
         assert len(results) == 3  # degraded to sequential, same round
         assert len(solved) == 3
-        # the dead executor must not be re-submitted to next round
-        assert loop._pool is None
-        assert loop._pool_workers == 1
-        assert DeadPool.shutdowns == 1
+        # the dead executor is dropped once and never re-submitted to
+        assert not loop._pool.live
+        assert loop._pool.failure == "BrokenProcessPool"
+        assert DeadExecutor.shutdowns == 1
+        submitted = DeadExecutor.submits
 
         solved.clear()
         assert len(loop._solve_leaves(self._leaves(2))) == 2
         assert len(solved) == 2  # sequential from here on, no pool error
+        assert DeadExecutor.submits == submitted
 
     def test_chunk_size_uses_pool_size_captured_at_creation(self, model):
-        captured = {}
+        chunks: list[int] = []
 
-        class RecordingPool:
-            def map(self, fn, tasks, chunksize=None):
-                tasks = list(tasks)
-                captured["chunksize"] = chunksize
-                captured["n_tasks"] = len(tasks)
-                from repro.verification.solver.result import SolveResult
+        class RecordingExecutor:
+            def submit(self, fn, task_fn, handle, chunk):
+                chunks.append(len(chunk))
+                future = Future()
+                future.set_result(
+                    [SolveResult(status=SolveStatus.UNSAT) for _ in chunk]
+                )
+                return future
 
-                return [SolveResult(status=SolveStatus.UNSAT) for _ in tasks]
+            def shutdown(self, wait=True, cancel_futures=False):
+                pass
 
         loop = self._loop_with_fake_solver(model, [])
-        loop._pool = RecordingPool()
-        loop._pool_size = 4  # captured at _make_pool time
-        loop._pool_workers = 1  # the degrade-reset value that broke sizing
-
+        loop._pool = _pool_with_executor(RecordingExecutor(), workers=4)
         results = loop._solve_leaves(self._leaves(40))
         assert len(results) == 40
-        assert captured["n_tasks"] == 40
-        # 40 leaves / (4 * pool_size) — not 40 / (4 * _pool_workers) = 10
-        assert captured["chunksize"] == 2
+        assert sum(chunks) == 40
+        # 40 leaves / (4 * pool width at creation) — not 40 / (4 * 1)
+        assert set(chunks) == {2}
 
     def test_discard_pool_is_idempotent_and_swallows_teardown_errors(
         self, model
     ):
-        loop = self._loop_with_fake_solver(model, [])
-
-        class ExplodingPool:
+        class ExplodingExecutor:
             def shutdown(self, wait=True, cancel_futures=False):
                 raise RuntimeError("already broken")
 
-        loop._pool = ExplodingPool()
-        loop._discard_pool()  # must swallow the teardown error
-        assert loop._pool is None
-        loop._discard_pool()  # and be a no-op afterwards
+        pool = _pool_with_executor(ExplodingExecutor(), workers=2)
+        pool.drop(BrokenProcessPool("worker died"))  # swallows the error
+        assert not pool.live
+        pool.drop(RuntimeError("later"))  # and is a no-op afterwards
+        pool.close()
+        assert pool.failure == "BrokenProcessPool"

@@ -8,12 +8,15 @@ pool degrade path when a worker dies mid-structural-round.
 
 from __future__ import annotations
 
+from concurrent.futures.process import BrokenProcessPool
+
 import numpy as np
 import pytest
 
 from repro.perception.network import build_mlp_perception_network
 from repro.properties.risk import RiskCondition, output_geq
 from repro.verification.cegar import CegarConfig, CegarLoop, Subproblem
+from repro.verification.pool import WorkerPool
 from repro.verification.sets import Box
 from repro.verification.solver.result import SolveStatus
 
@@ -34,6 +37,14 @@ def reachable(model):
 
 def _risk(threshold: float) -> RiskCondition:
     return RiskCondition("y0-high", (output_geq(2, 0, threshold),))
+
+
+def _pool_with_executor(executor, workers: int) -> WorkerPool:
+    """A ``workers``-wide layer pool whose executor is a test double."""
+    pool = WorkerPool(workers)
+    pool.close()  # the real executor never started a process
+    pool._executor = executor
+    return pool
 
 
 def _loop(model, threshold: float, *, structural: bool, **kwargs) -> CegarLoop:
@@ -153,24 +164,21 @@ class TestInterruptResume:
 
 class TestPoolDegrade:
     def test_broken_pool_mid_structural_round_degrades_sequential(self, model):
-        from concurrent.futures.process import BrokenProcessPool
-
         loop = _loop(model, 100.0, structural=True, solver="highs")
         state = loop._merge_state()
         assert state is not None and not state.is_refined
 
-        class DeadPool:
+        class DeadExecutor:
             shutdowns = 0
 
-            def map(self, *args, **kwargs):
+            def submit(self, *args, **kwargs):
                 raise BrokenProcessPool("worker died")
 
             def shutdown(self, wait=True, cancel_futures=False):
-                DeadPool.shutdowns += 1
+                DeadExecutor.shutdowns += 1
 
-        loop._pool = DeadPool()
-        loop._pool_size = 2
-        loop._pool_workers = 2
+        dead = _pool_with_executor(DeadExecutor(), workers=2)
+        loop._pool = dead
         loop._pool_merge_version = loop._merge_version
 
         cut = loop._root_box_at_cut()
@@ -186,29 +194,29 @@ class TestPoolDegrade:
         results = loop._solve_leaves(leaves)
         assert len(results) == 3  # merged leaves re-solved sequentially
         assert all(r.status is SolveStatus.UNSAT for r in results)
-        assert loop._pool is None
-        assert DeadPool.shutdowns == 1
+        assert not dead.live
+        assert DeadExecutor.shutdowns == 1
 
         # a structural refinement after the degrade must NOT resurrect
-        # the pool: refresh only swaps a pool that still exists
+        # the pool: refresh only swaps a pool that is still live
         loop._merge_version += 1
         loop._refresh_pool_if_stale()
-        assert loop._pool is None
+        assert loop._pool is dead and not dead.live
 
     def test_stale_pool_is_rebuilt_after_structural_move(self, model):
         loop = _loop(model, 100.0, structural=True)
         rebuilt = []
 
-        class StalePool:
+        class StaleExecutor:
             def shutdown(self, wait=True, cancel_futures=False):
                 rebuilt.append("shutdown")
 
-        loop._pool = StalePool()
+        # one worker wide, so the rebuild resolves to in-process
+        loop._pool = _pool_with_executor(StaleExecutor(), workers=1)
         loop._pool_merge_version = loop._merge_version
         loop._refresh_pool_if_stale()  # version matches: no-op
         assert rebuilt == []
 
-        loop._requested_workers = 1  # rebuild resolves to in-process
         loop._merge_version += 1
         loop._refresh_pool_if_stale()
         assert rebuilt == ["shutdown"]  # the stale pool was discarded
