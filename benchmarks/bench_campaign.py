@@ -15,8 +15,8 @@ campaign (10 risk thresholds × 2 characterizer settings) through
 
 - the **seed path** — every query re-lowers, re-propagates bounds and
   re-encodes from scratch and goes straight to the exact solver
-  (``VerificationEngine(cache=False, lp_screen=False)``, exactly the
-  legacy per-query ``SafetyVerifier.verify`` behavior),
+  (``VerificationEngine(cache=False, lp_screen=False)``, the
+  pre-engine per-query behavior),
 - the **cold engine** — fresh caches, full strategy ladder: the
   threshold sweep collapses onto one support-function optimization per
   (set, characterizer, direction),
@@ -124,7 +124,7 @@ def test_batched_prescreen_speedup(system, region_grid):
     bounds are asserted alongside the speedup.
     """
     model, cut = system.model, system.cut_layer
-    suffix = system.verifier.suffix
+    suffix = system.engine.suffix
     boxes = region_grid.box_batch()
 
     def scalar_stage():

@@ -10,6 +10,7 @@ Benchmarks the UNSAT proof with both solvers and checks the verdict.
 
 import pytest
 
+from repro.api import VerificationQuery
 from repro.core.verdict import Verdict
 from repro.properties.library import steer_far_left
 from repro.verification.milp.encoder import encode_verification_problem
@@ -20,8 +21,8 @@ from repro.verification.solver import BranchAndBoundSolver, HighsSolver
 def encoded(system, provable_threshold):
     risk = steer_far_left(provable_threshold)
     return encode_verification_problem(
-        system.verifier.suffix,
-        system.verifier.feature_set("data"),
+        system.engine.suffix,
+        system.engine.feature_set("data"),
         risk,
         system.characterizers["bends_right"].as_piecewise_linear(),
     )
@@ -45,11 +46,9 @@ def test_e3_full_verdict_with_guarantee(benchmark, system, provable_threshold):
     risk = steer_far_left(provable_threshold)
 
     verdict = benchmark(
-        lambda: system.verifier.verify(
-            risk,
-            property_name="bends_right",
-            confusion=system.confusions["bends_right"],
-        )
+        lambda: system.engine.run_query(
+            VerificationQuery(risk=risk, property_name="bends_right")
+        ).verdict
     )
     assert verdict.verdict is Verdict.CONDITIONALLY_SAFE
     assert verdict.statistical_guarantee is not None

@@ -11,6 +11,7 @@ the input-space FGSM falsification the paper suggests for such cases.
 import numpy as np
 import pytest
 
+from repro.api import VerificationQuery
 from repro.core.verdict import Verdict
 from repro.properties.library import STEER_STRAIGHT
 from repro.verification.counterexample import fgsm_falsify
@@ -21,8 +22,8 @@ from repro.verification.solver import BranchAndBoundSolver
 @pytest.mark.benchmark(group="e4-unprovable")
 def test_e4_counterexample_search(benchmark, system):
     problem = encode_verification_problem(
-        system.verifier.suffix,
-        system.verifier.feature_set("data"),
+        system.engine.suffix,
+        system.engine.feature_set("data"),
         STEER_STRAIGHT,
         system.characterizers["bends_right"].as_piecewise_linear(),
     )
@@ -33,7 +34,9 @@ def test_e4_counterexample_search(benchmark, system):
 @pytest.mark.benchmark(group="e4-unprovable")
 def test_e4_verdict_with_witness_decode(benchmark, system):
     verdict = benchmark(
-        lambda: system.verifier.verify(STEER_STRAIGHT, property_name="bends_right")
+        lambda: system.engine.run_query(
+            VerificationQuery(risk=STEER_STRAIGHT, property_name="bends_right")
+        ).verdict
     )
     assert verdict.verdict is Verdict.UNSAFE_IN_SET
     assert verdict.counterexample is not None

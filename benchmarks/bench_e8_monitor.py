@@ -20,7 +20,7 @@ def frame_features(system, heldout_images):
 @pytest.mark.benchmark(group="e8-monitor")
 def test_e8_batch_membership_check(benchmark, system, frame_features):
     """Vectorized S~ membership for a 200-frame batch."""
-    feature_set = system.verifier.feature_set("data")
+    feature_set = system.engine.feature_set("data")
     mask = benchmark(lambda: monitor_feature_batch(feature_set, frame_features))
     assert mask.shape == (frame_features.shape[0],)
 
@@ -44,7 +44,7 @@ def test_e8_monitor_overhead_negligible(benchmark, system, heldout_images, frame
     """Membership checking is orders of magnitude below feature extraction."""
     import time
 
-    feature_set = system.verifier.feature_set("data")
+    feature_set = system.engine.feature_set("data")
 
     start = time.perf_counter()
     for _ in range(50):

@@ -9,6 +9,7 @@ one risk threshold across the three levels and benchmarks each query.
 import numpy as np
 import pytest
 
+from repro.api import VerificationQuery
 from repro.core.verdict import Verdict
 from repro.properties.library import steer_far_left
 from repro.verification.sets import Box
@@ -20,12 +21,12 @@ LEMMA1_BOUND = 1e4
 @pytest.fixture(scope="module")
 def ladder_sets(system):
     dim = system.model.feature_dim(system.cut_layer)
-    system.verifier.add_raw_set(
+    system.engine.add_raw_set(
         Box(np.full(dim, -LEMMA1_BOUND), np.full(dim, LEMMA1_BOUND)),
         sound=True,
         name="lemma1",
     )
-    system.verifier.add_static_feature_set(0.0, 1.0, name="lemma2-static")
+    system.engine.add_static_feature_set(0.0, 1.0, name="lemma2-static")
     return ("lemma1", "lemma2-static", "data")
 
 
@@ -34,9 +35,9 @@ def ladder_sets(system):
 def test_e9_query_per_level(benchmark, system, ladder_sets, provable_threshold, set_name):
     risk = steer_far_left(provable_threshold)
     verdict = benchmark(
-        lambda: system.verifier.verify(
-            risk, property_name="bends_right", set_name=set_name
-        )
+        lambda: system.engine.run_query(
+            VerificationQuery(risk=risk, property_name="bends_right", set_name=set_name)
+        ).verdict
     )
     if set_name == "data":
         # only the assume-guarantee level proves the property...
@@ -51,9 +52,9 @@ def test_e9_ladder_inclusion(benchmark, system, ladder_sets):
     """The sets really are nested: S~ ⊆ S ⊆ R^dl-surrogate (per-bound check)."""
 
     def check():
-        data_lo, data_hi = system.verifier.feature_set("data").bounds()
-        static_lo, static_hi = system.verifier.feature_set("lemma2-static").bounds()
-        huge_lo, huge_hi = system.verifier.feature_set("lemma1").bounds()
+        data_lo, data_hi = system.engine.feature_set("data").bounds()
+        static_lo, static_hi = system.engine.feature_set("lemma2-static").bounds()
+        huge_lo, huge_hi = system.engine.feature_set("lemma1").bounds()
         assert np.all(static_lo <= data_lo + 1e-9)
         assert np.all(static_hi >= data_hi - 1e-9)
         assert np.all(huge_lo <= static_lo + 1e-9)

@@ -259,7 +259,7 @@ def test_fast32_speedup_and_containment(system, region_grid):
 def test_lowering_cache_hit_rate(system, region_grid):
     """A campaign-shaped workload lowers once and hits the cache after."""
     model, cut = system.model, system.cut_layer
-    suffix = system.verifier.suffix
+    suffix = system.engine.suffix
     boxes = region_grid.box_batch()
 
     model.invalidate_lowering()

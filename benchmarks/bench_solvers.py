@@ -25,8 +25,8 @@ from repro.verification.solver import make_solver
 def instances(system, provable_threshold):
     """(risk, expected_sat) pairs: E3's UNSAT proof and E4's SAT search."""
     characterizer = system.characterizers["bends_right"].as_piecewise_linear()
-    feature_set = system.verifier.feature_set("data")
-    suffix = system.verifier.suffix
+    feature_set = system.engine.feature_set("data")
+    suffix = system.engine.suffix
     out = {}
     for name, risk, expect_sat in (
         ("e3-unsat", steer_far_left(provable_threshold), False),

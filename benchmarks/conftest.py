@@ -27,8 +27,8 @@ def system():
 def provable_threshold(system):
     """Adaptive 'far left' frontier: max waypoint over S~ ∩ {h accepts}."""
     reach = output_range(
-        system.verifier.suffix,
-        system.verifier.feature_set("data"),
+        system.engine.suffix,
+        system.engine.feature_set("data"),
         system.characterizers["bends_right"].as_piecewise_linear(),
     )
     return float(reach.upper) + 0.25

@@ -48,7 +48,7 @@ def main() -> None:
         num_steps=250,
         initial_offset=0.5,
         scene_config=config.scene,
-        monitor=system.verifier.make_monitor(keep_events=False),
+        monitor=system.engine.make_monitor(keep_events=False),
         seed=11,
     )
     # the interesting case: night falls mid-drive (ODD exit at step 125)
@@ -67,7 +67,7 @@ def main() -> None:
         num_steps=250,
         initial_offset=0.5,
         scene_config=config.scene,
-        monitor=system.verifier.make_monitor(keep_events=False),
+        monitor=system.engine.make_monitor(keep_events=False),
         odd_exit_step=125,
         seed=11,
     )

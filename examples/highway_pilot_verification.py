@@ -38,8 +38,7 @@ def main() -> None:
     system = build_verified_system(config)
     print(system.summary())
 
-    engine = system.verifier.engine
-    engine.confusions.update(system.confusions)
+    engine = system.engine
 
     # ------------------------------------------------------------------
     # 1. abstraction ablation: reachable waypoint maxima per ingredient

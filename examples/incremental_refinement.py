@@ -40,7 +40,7 @@ def main() -> None:
     system = build_verified_system(config)
     model = system.model
     images = system.train_data.images
-    engine = system.verifier.engine
+    engine = system.engine
 
     cuts = [l for l in model.piecewise_linear_cut_points() if 0 < l < model.num_layers]
     cuts = cuts[-3:]  # the three latest piecewise-linear cut layers

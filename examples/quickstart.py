@@ -28,9 +28,7 @@ def main() -> None:
     print(system.summary())
     print()
 
-    # the verifier is a shim over the query engine; use the engine directly
-    engine = system.verifier.engine
-    engine.confusions.update(system.confusions)
+    engine = system.engine
 
     # exact reachable frontier of the waypoint output over S~ ∩ {h accepts}
     frontier = engine.run_query(

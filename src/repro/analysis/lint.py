@@ -6,9 +6,6 @@ encodes them directly as AST checks:
 ========  ====================  ========================================
 code      rule                  contract
 ========  ====================  ========================================
-RL001     deprecated-shim       no internal calls to the PR 4
-                                deprecated propagation shims; use the
-                                abstract-domain registry
 RL002     unseeded-rng          verification paths must not draw from
                                 unseeded or global RNG state
 RL003     float-eq              no ``==`` / ``!=`` against non-zero
@@ -38,22 +35,6 @@ import re
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
-
-#: the PR 4 deprecated propagation shims (see tests/verification/
-#: test_deprecated_shims.py); calling any of these outside their
-#: defining module is a lint error
-DEPRECATED_SHIMS = frozenset(
-    {
-        "layer_interval",
-        "layer_interval_batch",
-        "propagate_input_box",
-        "propagate_input_box_batch",
-        "propagate_batch",
-        "transform_batch",
-        "propagate_box_batch",
-        "propagate_zonotope_batch",
-    }
-)
 
 #: legacy global-state numpy RNG entry points
 _LEGACY_RNG = frozenset(
@@ -85,7 +66,6 @@ _POOL_PRIMITIVES = frozenset({"ProcessPoolExecutor", "get_all_start_methods"})
 _POOL_LAYER = ("repro", "verification", "pool.py")
 
 RULES: dict[str, tuple[str, str]] = {
-    "RL001": ("deprecated-shim", "call to a deprecated propagation shim"),
     "RL002": ("unseeded-rng", "unseeded RNG in a verification path"),
     "RL003": ("float-eq", "float equality against a non-zero literal"),
     "RL004": ("pool-picklable", "unpicklable callable handed to a pool"),
@@ -114,15 +94,15 @@ class LintFinding:
         )
 
 
-def _collect_defs(tree: ast.Module) -> tuple[set[str], set[str]]:
-    """Names of module-level vs nested function definitions."""
-    module_defs: set[str] = set()
+def _nested_defs(tree: ast.Module) -> set[str]:
+    """Names of function definitions nested inside another function."""
     nested_defs: set[str] = set()
 
     def rec(node: ast.AST, in_func: bool) -> None:
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                (nested_defs if in_func else module_defs).add(child.name)
+                if in_func:
+                    nested_defs.add(child.name)
                 rec(child, True)
             elif isinstance(child, ast.Lambda):
                 rec(child, True)
@@ -130,7 +110,7 @@ def _collect_defs(tree: ast.Module) -> tuple[set[str], set[str]]:
                 rec(child, in_func)
 
     rec(tree, False)
-    return module_defs, nested_defs
+    return nested_defs
 
 
 def _call_name(func: ast.expr) -> str | None:
@@ -164,12 +144,10 @@ def _nonzero_float_literal(node: ast.expr) -> bool:
 
 
 class _Checker(ast.NodeVisitor):
-    def __init__(self, path: str, scoped: bool, module_defs: set[str],
-                 nested_defs: set[str]) -> None:
+    def __init__(self, path: str, scoped: bool, nested_defs: set[str]) -> None:
         self.path = path
         self.scoped = scoped
         self.pool_layer = Path(path).parts[-3:] == _POOL_LAYER
-        self.module_defs = module_defs
         self.nested_defs = nested_defs
         self.findings: list[LintFinding] = []
 
@@ -186,22 +164,10 @@ class _Checker(ast.NodeVisitor):
             )
         )
 
-    # -- RL001 / RL002 / RL004 / RL005 / RL006 (all anchored on calls) -----
+    # -- RL002 / RL004 / RL005 / RL006 (all anchored on calls) ------------
 
     def visit_Call(self, node: ast.Call) -> None:
         name = _call_name(node.func)
-
-        if (
-            name in DEPRECATED_SHIMS
-            and name not in self.module_defs
-        ):
-            self._flag(
-                node,
-                "RL001",
-                f"call to deprecated shim {name}(); use the "
-                f"abstract-domain registry "
-                f"(repro.verification.abstraction.get_domain)",
-            )
 
         if self.scoped:
             if (
@@ -362,8 +328,7 @@ def lint_source(source: str, path: str | Path) -> list[LintFinding]:
                 f"file does not parse: {exc.msg}",
             )
         ]
-    module_defs, nested_defs = _collect_defs(tree)
-    checker = _Checker(str(path), _in_scope(path), module_defs, nested_defs)
+    checker = _Checker(str(path), _in_scope(path), _nested_defs(tree))
     checker.visit(tree)
 
     lines = source.splitlines()

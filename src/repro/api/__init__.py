@@ -42,9 +42,6 @@ Quickstart::
     )
     report = engine.run(campaign, workers=4)
     print(report.summary())
-
-The legacy :class:`repro.core.workflow.SafetyVerifier` is a thin
-compatibility shim over this engine.
 """
 
 from repro.api.campaign import Campaign, CampaignReport, QueryResult

@@ -1,10 +1,10 @@
 """The planning/caching verification engine.
 
-:class:`VerificationEngine` owns the model-at-a-cut-layer state that the
-legacy :class:`~repro.core.workflow.SafetyVerifier` carried, answers
-declarative :class:`~repro.api.query.VerificationQuery` objects, and
-executes :class:`~repro.api.campaign.Campaign` batches — sequentially or
-fanned out over a process pool.
+:class:`VerificationEngine` owns the model-at-a-cut-layer state of the
+paper's Figure 1 workflow, answers declarative
+:class:`~repro.api.query.VerificationQuery` objects, and executes
+:class:`~repro.api.campaign.Campaign` batches — sequentially or fanned
+out over a process pool.
 
 Per query the engine plans a **strategy ladder**:
 
@@ -46,7 +46,7 @@ from __future__ import annotations
 import inspect
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -57,7 +57,6 @@ from repro.monitor.runtime import RuntimeMonitor
 from repro.nn.sequential import Sequential
 from repro.perception.characterizer import Characterizer
 from repro.perception.features import extract_features
-from repro.properties.risk import RiskCondition
 from repro.scenario.regions import RegionGrid
 from repro.verification.abstraction.domain import get_domain, precision_ladder
 from repro.verification.abstraction.propagate import (
@@ -784,15 +783,16 @@ class VerificationEngine:
         """
         start = time.perf_counter()
         key = self._store_key(query)
-        if key is not None:
-            stored = self.store.get(key)
-            label = "hit:result-store" if stored is not None else "miss:result-store"
-            self.cache_stats[label] = self.cache_stats.get(label, 0) + 1
-            if stored is not None:
-                payload = stored.to_query_result(query)
-                payload.elapsed = time.perf_counter() - start
-                return payload
+        stored = self._stored(key, query)
+        if stored is not None:
+            stored.elapsed = time.perf_counter() - start
+            return stored
+        payload = self._compute(query, start)
+        self._store_put(key, payload)
+        return payload
 
+    def _compute(self, query: VerificationQuery, start: float) -> QueryResult:
+        """Run the strategy ladder for one query; never touches the store."""
         hits: list[str] = []
         ladder: list[str] = []
 
@@ -810,8 +810,6 @@ class VerificationEngine:
         payload.elapsed = time.perf_counter() - start
         payload.ladder = tuple(ladder)
         payload.cache_hits = tuple(hits)
-        if key is not None:
-            self._store_put(key, payload)
         return payload
 
     # -- persistent result store -------------------------------------------
@@ -869,10 +867,22 @@ class VerificationEngine:
             precision=self.precision,
         )
 
+    def _stored(self, key, query: VerificationQuery) -> QueryResult | None:
+        """The stored answer under ``key`` (None: no store, or a miss)."""
+        if key is None:
+            return None
+        stored = self.store.get(key)
+        label = "hit:result-store" if stored is not None else "miss:result-store"
+        self.cache_stats[label] = self.cache_stats.get(label, 0) + 1
+        return stored.to_query_result(query) if stored is not None else None
+
     def _store_put(self, key, payload: QueryResult) -> None:
-        """Write a decided verdict back; undecided results never persist."""
+        """Write a decided verdict back once; undecided results never
+        persist."""
         if (
-            payload.error is not None
+            key is None
+            or key in self.store
+            or payload.error is not None
             or payload.verdict is None
             or payload.verdict.verdict is Verdict.UNKNOWN
         ):
@@ -897,9 +907,14 @@ class VerificationEngine:
         try:
             return self.run_query(query)
         except Exception as exc:  # campaign survives individual bad queries
-            return QueryResult(
-                query=query, error=f"{type(exc).__name__}: {exc}", decided_by="error"
-            )
+            return _error_result(query, exc)
+
+    def _compute_safe(self, query: VerificationQuery) -> QueryResult:
+        """:meth:`_compute` with exceptions captured in the result."""
+        try:
+            return self._compute(query, time.perf_counter())
+        except Exception as exc:
+            return _error_result(query, exc)
 
     # verdict methods (exact / relaxed) ------------------------------------
 
@@ -916,8 +931,8 @@ class VerificationEngine:
         registered = self._registered(query.set_name)
 
         # 1. sound bound-propagation prescreen (runs before the
-        #    characterizer is even looked up, as the legacy verify did:
-        #    the prescreen drops the characterizer conjunct anyway).
+        #    characterizer is even looked up: the prescreen drops the
+        #    characterizer conjunct anyway).
         #    The engine escalates through the precision ladder up to the
         #    query's domain — interval → octagon → zonotope → symbolic —
         #    with every rung's enclosure cached per (set, domain), so a
@@ -952,7 +967,7 @@ class VerificationEngine:
                 support_key = (query.set_name, query.property_name, direction)
                 # the proved-optimal optimization costs more than one
                 # first-incumbent feasibility solve, so one-off queries
-                # keep the legacy path; the optimization runs once a
+                # keep the feasibility path; the optimization runs once a
                 # direction repeats (or in a campaign, where it is the
                 # norm).  Budget-limited queries never *trigger* it — a
                 # truncated optimization would poison the cache for the
@@ -1427,7 +1442,10 @@ class VerificationEngine:
         scheduling, and each worker process builds its own encoding cache
         (the engine is shipped once per worker, caches excluded).  If a
         worker dies or no pool can start, the unfinished queries run
-        in-process and ``report.executor`` names the failure.
+        in-process and ``report.executor`` names the failure.  With a
+        :attr:`store`, this process alone reads and writes it: stored
+        answers are looked up before the fan-out, workers only compute,
+        and each decided answer is written back once.
         """
         if isinstance(campaign, VerificationQuery):
             campaign = Campaign("query", [campaign])
@@ -1440,17 +1458,23 @@ class VerificationEngine:
         # run_query calls stay on the cheaper feasibility path
         self._campaign_mode = True
         self._plan_batched_prescreen(queries)
+        keys = [self._store_key(query) for query in queries]
+        results = [self._stored(key, query) for key, query in zip(keys, queries)]
+        todo = [i for i, result in enumerate(results) if result is None]
         try:
             with WorkerPool(
-                workers if len(queries) > 1 else 1, initargs=(self,)
+                workers if len(todo) > 1 else 1, initargs=(self,)
             ) as pool:
-                results = pool.map(
+                computed = pool.map(
                     _worker_run,
-                    [(query,) for query in queries],
-                    fallback=self.run_query_safe,
+                    [(queries[i],) for i in todo],
+                    fallback=self._compute_safe,
                 )
         finally:
             self._campaign_mode = False
+        for i, result in zip(todo, computed):
+            results[i] = result
+            self._store_put(keys[i], result)
 
         total = time.perf_counter() - start
         cache_stats = {
@@ -1495,36 +1519,23 @@ class VerificationEngine:
             self.model, self.cut_layer, registered.feature_set, keep_events=keep_events
         )
 
-    # -- legacy compatibility ----------------------------------------------
 
-    def verify(
-        self,
-        risk: RiskCondition,
-        property_name: str | None = None,
-        set_name: str = "data",
-        confusion: ConfusionEstimate | None = None,
-        prescreen_domain: str | None = "interval",
-        solver: str | None = None,
-    ) -> VerificationVerdict:
-        """One-call Definition 1 query returning the bare verdict.
-
-        This is the :meth:`SafetyVerifier.verify` contract expressed as a
-        single :class:`VerificationQuery`; prefer building campaigns for
-        anything beyond one-off questions.
-        """
-        query = VerificationQuery(
-            risk=risk,
-            property_name=property_name,
-            set_name=set_name,
-            prescreen_domain=prescreen_domain,
-            solver=solver,
-        )
-        verdict = self.run_query(query).verdict
-        if confusion is not None:
-            verdict = replace(verdict, confusion=confusion)
-        return verdict
+def _error_result(query: VerificationQuery, exc: Exception) -> QueryResult:
+    return QueryResult(
+        query=query, error=f"{type(exc).__name__}: {exc}", decided_by="error"
+    )
 
 
 def _worker_run(state: tuple, query: VerificationQuery) -> QueryResult:
+    # a forked worker inherits the parent's store (``__getstate__`` only
+    # runs under spawn), so it must compute without going near it
     (engine,) = state
-    return engine.run_query_safe(query)
+    return engine._compute_safe(query)
+
+
+def _storeless(engine: VerificationEngine, *rest) -> tuple:
+    """Pool initializer for sites whose workers call :meth:`run_query`:
+    the worker's engine computes without the result store, which a fork
+    would otherwise hand it, so the parent alone reads and writes it."""
+    engine.store = None
+    return (engine, *rest)

@@ -38,10 +38,12 @@ import threading
 import time
 from concurrent.futures import as_completed
 from concurrent.futures.process import BrokenProcessPool
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from typing import Any, Sequence
 
 from repro.api.campaign import Campaign, CampaignReport, QueryResult, as_queries
+from repro.api.engine import _storeless
 from repro.api.query import Method, VerificationQuery
 from repro.core.verdict import Verdict
 from repro.verification.pool import WorkerPool, mp_context
@@ -195,8 +197,9 @@ def _verdict_side(result: QueryResult) -> bool:
     return result.verdict.verdict is Verdict.UNSAFE_IN_SET
 
 
-def _run_config(engine, config: RacerConfig, query: VerificationQuery) -> QueryResult:
-    """Run one racer on one engine, honoring its precision override.
+@contextmanager
+def _configured(engine, config: RacerConfig):
+    """The engine as one racer sees it: its precision override applied.
 
     A precision override swaps in a per-precision enclosure cache for
     the duration: enclosure cache keys are ``(set, domain)`` without the
@@ -204,18 +207,24 @@ def _run_config(engine, config: RacerConfig, query: VerificationQuery) -> QueryR
     fast32 and exact64 enclosures (still sound — fast32 contains exact64
     — but no longer reproducible).
     """
-    applied = config.apply(query)
     if config.precision is None or config.precision == engine.precision:
-        return engine.run_query_safe(applied)
+        yield engine
+        return
     saved_precision = engine.precision
     saved_cache = engine._enclosure_cache
     engine.precision = config.precision
     engine._enclosure_cache = {}
     try:
-        return engine.run_query_safe(applied)
+        yield engine
     finally:
         engine.precision = saved_precision
         engine._enclosure_cache = saved_cache
+
+
+def _run_config(engine, config: RacerConfig, query: VerificationQuery) -> QueryResult:
+    """Run one racer on one engine, honoring its precision override."""
+    with _configured(engine, config):
+        return engine.run_query_safe(config.apply(query))
 
 
 class Portfolio:
@@ -374,6 +383,30 @@ class Portfolio:
 
     # -- parallel racing ---------------------------------------------------
 
+    def _stored_winner(
+        self, record: dict[str, Any], order: list[RacerConfig], query: VerificationQuery
+    ) -> QueryResult | None:
+        """The first racer (in race order) with a stored answer wins
+        without racing."""
+        if self.engine.store is None:
+            return None
+        for config in order:
+            applied = config.apply(query)
+            with _configured(self.engine, config) as engine:
+                result = engine._stored(engine._store_key(applied), applied)
+            if result is not None:
+                self._record(record, config, result, 0.0, cancelled=False)
+                record["winner"] = config.name
+                return result
+        return None
+
+    def _store_put(
+        self, config: RacerConfig, query: VerificationQuery, result: QueryResult
+    ) -> None:
+        applied = config.apply(query)
+        with _configured(self.engine, config) as engine:
+            engine._store_put(engine._store_key(applied), result)
+
     def run(
         self,
         campaign: "Campaign | list[VerificationQuery] | VerificationQuery",
@@ -417,7 +450,9 @@ class Portfolio:
         cancel_event = mp_context().Event()
         results: list[QueryResult] = []
         with WorkerPool(
-            min(workers, len(self.racers)), initargs=(self.engine, cancel_event)
+            min(workers, len(self.racers)),
+            initializer=_storeless,
+            initargs=(self.engine, cancel_event),
         ) as pool:
             for query in queries:
                 if pool.live:
@@ -433,20 +468,26 @@ class Portfolio:
         self, pool: WorkerPool, cancel_event, query: VerificationQuery
     ) -> QueryResult:
         """One query's race: first sound decided answer wins, losers are
-        interrupted at their next CEGAR round boundary."""
+        interrupted at their next CEGAR round boundary.  The workers
+        race without the result store; this process looks it up before
+        the race and writes every decided answer back."""
         order = self._order_for(query)
         record: dict[str, Any] = {"query": query.name, "racers": {}, "winner": None}
-        cancel_event.clear()
-        futures = {
-            pool.submit(_racer_run, config, query): config for config in order
-        }
-        winner_result: QueryResult | None = None
-        fallback: QueryResult | None = None
+        winner_result = self._stored_winner(record, order, query)
+        fallback = winner_result
+        futures = {}
+        if winner_result is None:
+            cancel_event.clear()
+            futures = {
+                pool.submit(_racer_run, config, query): config for config in order
+            }
         try:
             for future in as_completed(futures):
                 config = futures[future]
                 result, elapsed, saw_cancel = future.result()
                 decided = _decided(result)
+                if decided:
+                    self._store_put(config, query, result)
                 self._record(
                     record,
                     config,

@@ -1,23 +1,18 @@
 """End-to-end workflow (Figure 1 of the paper).
 
-:class:`~repro.core.workflow.SafetyVerifier` is the legacy one-object
-entry point — since the :mod:`repro.api` redesign a thin shim over
-:class:`repro.api.VerificationEngine`, which owns cut-layer selection,
-characterizer attachment, feature-set construction (data-derived ``S~``
-or statically propagated ``S``), encoding caches, solving and verdict
-interpretation.  :mod:`repro.core.pipeline` builds a fully trained
-system from a config in one call; prefer ``system.verifier.engine`` and
-:class:`repro.api.Campaign` for new code.
+:mod:`repro.core.pipeline` builds a fully trained system from a config
+in one call; its ``system.engine`` is a :class:`repro.api.VerificationEngine`,
+which owns cut-layer selection, characterizer attachment, feature-set
+construction (data-derived ``S~`` or statically propagated ``S``),
+encoding caches, solving and verdict interpretation.
 """
 
 from repro.core.config import ExperimentConfig
 from repro.core.pipeline import VerifiedSystem, build_verified_system
 from repro.core.verdict import Verdict, VerificationVerdict
-from repro.core.workflow import SafetyVerifier
 
 __all__ = [
     "ExperimentConfig",
-    "SafetyVerifier",
     "Verdict",
     "VerificationVerdict",
     "VerifiedSystem",

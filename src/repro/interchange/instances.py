@@ -66,7 +66,7 @@ def load_instances(directory: str | Path) -> list[BenchmarkInstance]:
             f"(missing {INDEX_NAME})"
         )
     rows = []
-    for row_number, row in enumerate(csv.reader(index.open())):
+    for row_number, row in enumerate(csv.reader(index.read_text().splitlines())):
         row = [cell.strip() for cell in row if cell.strip()]
         if not row or row[0].startswith("#"):
             continue

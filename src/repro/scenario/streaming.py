@@ -824,8 +824,13 @@ def run_stream(
     outcomes: list[ShardOutcome] = []
     executor = "sequential"
     if workers > 1:
+        # local import: repro.api.engine imports repro.scenario
+        from repro.api.engine import _storeless
+
         state = (engine, tuple(risks), options)
-        with WorkerPool(workers, initargs=state) as pool:
+        # workers decide shards without the result store; the fallback
+        # runs here, where the parent's store stays the only writer
+        with WorkerPool(workers, initializer=_storeless, initargs=state) as pool:
             outcomes = pool.map(
                 _stream_worker_run,
                 _shard_tasks(plan),

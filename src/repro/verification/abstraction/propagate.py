@@ -10,47 +10,14 @@ The canonical entry point is :func:`propagate_regions`: it lowers the
 prefix **once** (cached, see :mod:`repro.verification.ir`) and runs the
 chosen abstract domain's batched transformers over the program — one
 code path for every region count and every domain.
-
-The four historical entry points of the pre-IR propagation stacks
-(:func:`layer_interval`, :func:`layer_interval_batch`,
-:func:`propagate_input_box`, :func:`propagate_input_box_batch`) survive
-as thin deprecation shims over the same code.
 """
 
 from __future__ import annotations
 
-import warnings
-
-import numpy as np
-
-from repro.nn.layers.base import Layer
 from repro.nn.sequential import Sequential
 from repro.verification.abstraction.domain import get_domain
-from repro.verification.abstraction.interval import INTERVAL
 from repro.verification.ir import lowered_prefix
-from repro.verification.sets import Box, BoxBatch, IntervalBoundError
-
-
-def _check_ordered(
-    lower: np.ndarray,
-    upper: np.ndarray,
-    layer_index: int | None,
-    region_index: int | None,
-    batched: bool,
-) -> None:
-    """Raise :class:`IntervalBoundError` with full context on ``lower > upper``."""
-    bad = lower > upper
-    if not np.any(bad):
-        return
-    if batched:
-        per_region = np.any(bad.reshape(bad.shape[0], -1), axis=1)
-        region_index = int(np.argmax(per_region))
-    raise IntervalBoundError(
-        "interval has lower > upper bound",
-        layer_index=layer_index,
-        region_index=region_index,
-    )
-
+from repro.verification.sets import BoxBatch, IntervalBoundError
 
 PRECISIONS = ("exact64", "fast32")
 
@@ -147,133 +114,3 @@ def region_boxes(
     )
     return dom.concretize(element).flat()
 
-
-# -- deprecated pre-IR entry points ------------------------------------------
-
-
-def _deprecation_message(name: str, replacement: str) -> str:
-    """Message only — every shim issues its own warning with
-    ``stacklevel=2`` so the report points at the *caller's* line, not at
-    a shared helper frame."""
-    return (
-        f"{name} is deprecated; use {replacement} "
-        f"(the lowered-IR propagation path)"
-    )
-
-
-def _single_layer_interval(
-    layer: Layer, lower: np.ndarray, upper: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Interval image of one layer on stacked feature-shaped bounds."""
-    ops = layer.as_abstract_ops()
-    if ops is None:
-        raise TypeError(f"no interval transformer for layer {type(layer).__name__}")
-    n = lower.shape[0]
-    element = BoxBatch(lower.reshape(n, -1), upper.reshape(n, -1))
-    for op in ops:
-        element = INTERVAL.transform(op, element)
-    out_shape = (n,) + tuple(layer.output_shape_)
-    return element.lower.reshape(out_shape), element.upper.reshape(out_shape)
-
-
-def layer_interval(
-    layer: Layer,
-    lower: np.ndarray,
-    upper: np.ndarray,
-    *,
-    layer_index: int | None = None,
-    region_index: int | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Deprecated: use :func:`propagate_regions` (or, for one layer, the
-    registry — ``get_domain('interval').transform`` over
-    ``layer.as_abstract_ops()``).
-
-    Sound interval transformer for one layer (batch of one);
-    ``lower``/``upper`` are feature-shaped arrays (no batch dimension).
-    """
-    warnings.warn(
-        _deprecation_message(
-            "layer_interval",
-            "propagate_regions (or get_domain('interval').transform over "
-            "layer.as_abstract_ops())",
-        ),
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    _check_ordered(lower, upper, layer_index, region_index, batched=False)
-    out_lower, out_upper = _single_layer_interval(layer, lower[None], upper[None])
-    return out_lower[0], out_upper[0]
-
-
-def layer_interval_batch(
-    layer: Layer,
-    lower: np.ndarray,
-    upper: np.ndarray,
-    *,
-    layer_index: int | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Deprecated batched twin of :func:`layer_interval`: use
-    :func:`propagate_regions` (or ``get_domain('interval').transform``
-    over ``layer.as_abstract_ops()`` for a single layer)."""
-    warnings.warn(
-        _deprecation_message(
-            "layer_interval_batch",
-            "propagate_regions (or get_domain('interval').transform over "
-            "layer.as_abstract_ops())",
-        ),
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    _check_ordered(lower, upper, layer_index, None, batched=True)
-    return _single_layer_interval(layer, lower, upper)
-
-
-def propagate_input_box(
-    model: Sequential,
-    lower: np.ndarray | float,
-    upper: np.ndarray | float,
-    to_layer: int,
-) -> Box:
-    """Deprecated: use :func:`propagate_regions` (batch of one).
-
-    Scalars broadcast to the whole input shape, so
-    ``propagate_input_box(model, 0.0, 1.0, l)`` is exactly the paper's
-    "verification using an input domain of ``[0, 1]^{d_l0}``".
-    """
-    warnings.warn(
-        _deprecation_message("propagate_input_box", "propagate_regions"),
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    model._check_index(to_layer, allow_zero=True)
-    shape = model.input_shape
-    lo = np.broadcast_to(np.asarray(lower, dtype=float), shape).copy()
-    hi = np.broadcast_to(np.asarray(upper, dtype=float), shape).copy()
-    _check_ordered(lo, hi, None, None, batched=False)
-    return region_boxes(model, BoxBatch(lo[None], hi[None]), to_layer).box(0)
-
-
-def propagate_input_box_batch(
-    model: Sequential,
-    batch: BoxBatch,
-    to_layer: int,
-) -> BoxBatch:
-    """Deprecated: use :func:`propagate_regions` / :func:`region_boxes`."""
-    warnings.warn(
-        _deprecation_message("propagate_input_box_batch", "propagate_regions"),
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return region_boxes(model, batch, to_layer)
-
-
-#: deprecated alias of the deprecated batched entry point
-def propagate_batch(model: Sequential, batch: BoxBatch, to_layer: int) -> BoxBatch:
-    """Deprecated alias of :func:`propagate_input_box_batch`; use
-    :func:`propagate_regions` / :func:`region_boxes`."""
-    warnings.warn(
-        _deprecation_message("propagate_batch", "propagate_regions"),
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return region_boxes(model, batch, to_layer)

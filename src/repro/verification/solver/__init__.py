@@ -26,9 +26,8 @@ canonical name plus aliases, together with the **encoding** it consumes:
     ``solve`` takes a
     :class:`~repro.verification.milp.relaxed.RelaxedProblem`.
 
-Callers (``repro.api.VerificationEngine``, ``SafetyVerifier``) look up
-:func:`solver_spec` to pick the right encoder instead of special-casing
-solver names.
+Callers (``repro.api.VerificationEngine``) look up :func:`solver_spec`
+to pick the right encoder instead of special-casing solver names.
 """
 
 from __future__ import annotations

@@ -23,33 +23,6 @@ def codes(source: str, path: str = SCOPED) -> list[str]:
     return [f.code for f in lint_source(dedent(source), path)]
 
 
-class TestDeprecatedShim:
-    def test_positive_name_call(self):
-        assert codes("propagate_batch(model, boxes, 3)") == ["RL001"]
-
-    def test_positive_attribute_call(self):
-        assert codes("propagate.layer_interval(layer, box)") == ["RL001"]
-
-    def test_negative_registry_call(self):
-        assert codes("get_domain('interval').propagate(net, lifted)") == []
-
-    def test_defining_module_is_exempt(self):
-        source = """
-            def propagate_batch(net, boxes, to_layer):
-                return _impl(net, boxes, to_layer)
-
-            def _impl(net, boxes, to_layer):
-                return propagate_batch(net, boxes, to_layer)
-        """
-        assert codes(source) == []
-
-    def test_every_shim_name_is_flagged(self):
-        from repro.analysis.lint import DEPRECATED_SHIMS
-
-        for name in DEPRECATED_SHIMS:
-            assert codes(f"{name}()") == ["RL001"], name
-
-
 class TestUnseededRng:
     def test_positive_default_rng_without_seed(self):
         assert codes("rng = np.random.default_rng()") == ["RL002"]
@@ -204,7 +177,7 @@ class TestSuppression:
 
     def test_allow_list(self):
         assert codes(
-            "flag = x == 1.5  # lint: allow(float-eq, deprecated-shim)"
+            "flag = x == 1.5  # lint: allow(float-eq, unseeded-rng)"
         ) == []
 
     def test_other_rule_not_suppressed(self):
@@ -221,13 +194,13 @@ class TestDriver:
     def test_lint_paths_select_and_ignore(self, tmp_path):
         bad = tmp_path / "verification" / "mod.py"
         bad.parent.mkdir()
-        bad.write_text("x = v == 1.5\npropagate_batch(n, b, 3)\n")
+        bad.write_text("x = v == 1.5\nrng = np.random.default_rng()\n")
         all_codes = {f.code for f in lint_paths([tmp_path])}
-        assert all_codes == {"RL001", "RL003"}
+        assert all_codes == {"RL002", "RL003"}
         only = lint_paths([tmp_path], select=["float-eq"])
         assert {f.code for f in only} == {"RL003"}
         rest = lint_paths([tmp_path], ignore=["RL003"])
-        assert {f.code for f in rest} == {"RL001"}
+        assert {f.code for f in rest} == {"RL002"}
 
     def test_findings_render_with_location(self, tmp_path):
         bad = tmp_path / "api" / "mod.py"
@@ -240,9 +213,7 @@ class TestDriver:
         assert render_findings([]) == "clean: 0 findings"
 
     def test_rule_table_is_complete(self):
-        assert set(RULES) == {
-            "RL001", "RL002", "RL003", "RL004", "RL005", "RL006"
-        }
+        assert set(RULES) == {"RL002", "RL003", "RL004", "RL005", "RL006"}
 
 
 class TestSelfClean:

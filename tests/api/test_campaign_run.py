@@ -1,4 +1,4 @@
-"""Campaign execution: parallel determinism, reports, shim equivalence."""
+"""Campaign execution: parallel determinism, reports, one-off parity."""
 
 import json
 
@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from repro.api import Campaign, VerificationEngine, VerificationQuery
-from repro.core.workflow import SafetyVerifier
+from repro.core.verdict import Verdict
 from repro.properties.library import steer_far_left
+from repro.service import ResultStore
 
 
 @pytest.fixture(scope="module")
@@ -42,24 +43,17 @@ class TestCampaignRun:
     def test_parallel_matches_sequential_and_legacy_verify(
         self, api_system, campaign_engine, sweep
     ):
-        """Acceptance: 20+ queries, workers=4, verdicts identical to the
-        sequential legacy SafetyVerifier.verify path."""
+        """Acceptance: 20+ queries, workers=4, verdicts identical to
+        one-off ``run_query`` calls on a fresh sequential engine."""
         model, images, cut, characterizer = api_system
         parallel = campaign_engine.run(sweep, workers=4)
         assert len(parallel) == 24
 
-        verifier = SafetyVerifier(model, cut, solver="highs")
-        verifier.add_feature_set_from_data(images)
-        verifier.attach_characterizer(characterizer)
-        legacy = [
-            verifier.verify(
-                query.risk,
-                property_name=query.property_name,
-                prescreen_domain=query.prescreen_domain,
-            )
-            for query in sweep
-        ]
-        for result, expected in zip(parallel.results, legacy):
+        engine = VerificationEngine(model, cut, solver="highs")
+        engine.add_feature_set_from_data(images)
+        engine.attach_characterizer(characterizer)
+        one_off = [engine.run_query(query).verdict for query in sweep]
+        for result, expected in zip(parallel.results, one_off):
             assert result.ok
             assert result.verdict.verdict is expected.verdict
             assert result.verdict.monitored == expected.monitored
@@ -111,3 +105,37 @@ class TestCampaignRun:
         assert report.results[0].verdict is not None
         assert report.results[1].output_range is not None
         assert report.results[2].output_range.output_index == 1
+
+
+class TestStoreOwnership:
+    """A parallel campaign's store is written by the parent alone."""
+
+    def test_pooled_results_reach_the_parent_store_once(self, api_system, tmp_path):
+        model, images, cut, _ = api_system
+        path = tmp_path / "s.jsonl"
+        engine = VerificationEngine(
+            model, cut, solver="highs", store=ResultStore(path)
+        )
+        engine.add_feature_set_from_data(images)
+        outputs = model.forward(images)
+        lo, hi = float(outputs[:, 0].min()) - 0.5, float(outputs[:, 0].max()) + 0.5
+        campaign = Campaign("stored").add_grid(
+            risks=[steer_far_left(t) for t in np.linspace(lo, hi, 8)],
+            properties=(None,),
+        )
+
+        first = engine.run(campaign, workers=2)
+        decided = [
+            r for r in first.results
+            if r.ok and r.verdict.verdict is not Verdict.UNKNOWN
+        ]
+        assert len(decided) == 8
+        lines = path.read_text().splitlines()
+        assert len(lines) == len(engine.store) == len(decided)
+
+        rerun = engine.run(campaign, workers=1)
+        assert [r.decided_by for r in rerun.results] == ["store"] * 8
+        assert [r.verdict.verdict for r in rerun.results] == [
+            r.verdict.verdict for r in first.results
+        ]
+        assert path.read_text().splitlines() == lines

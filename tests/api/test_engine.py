@@ -225,16 +225,6 @@ class TestFeatureSetGuard:
         assert narrow.output_range.lower >= wide.output_range.lower - 1e-9
         assert narrow.output_range.upper <= wide.output_range.upper + 1e-9
 
-    def test_shim_exposes_guard(self, api_system):
-        from repro.core.workflow import SafetyVerifier
-
-        model, images, cut, _ = api_system
-        verifier = SafetyVerifier(model, cut)
-        verifier.add_feature_set_from_data(images)
-        with pytest.raises(ValueError, match="already registered"):
-            verifier.add_feature_set_from_data(images)
-        verifier.add_feature_set_from_data(images, overwrite=True)
-
 
 class TestMethodPaths:
     def test_relaxed_method_sound(self, engine, api_system):
@@ -302,38 +292,3 @@ class TestMethodPaths:
             VerificationQuery(risk=risk, node_limit=1, prescreen_domain=None)
         )
         assert result.verdict.verdict in (Verdict.UNKNOWN, Verdict.UNSAFE_IN_SET)
-
-
-class TestShimEquivalence:
-    def test_verify_matches_engine(self, api_system):
-        from repro.core.workflow import SafetyVerifier
-
-        model, images, cut, characterizer = api_system
-        verifier = SafetyVerifier(model, cut)
-        verifier.add_feature_set_from_data(images)
-        verifier.attach_characterizer(characterizer)
-        engine = VerificationEngine(model, cut)
-        engine.add_feature_set_from_data(images)
-        engine.attach_characterizer(characterizer)
-
-        outputs = model.forward(images)
-        for quantile in (0.1, 0.5, 0.9):
-            risk = RiskCondition(
-                "q", (output_geq(2, 0, float(np.quantile(outputs[:, 0], quantile))),)
-            )
-            for prop in (None, "high_f0"):
-                legacy = verifier.verify(risk, property_name=prop)
-                modern = engine.run_query(
-                    VerificationQuery(risk=risk, property_name=prop)
-                ).verdict
-                assert legacy.verdict is modern.verdict
-                assert legacy.monitored == modern.monitored
-                assert legacy.feature_set_kind == modern.feature_set_kind
-
-    def test_shim_is_engine_backed(self, api_system):
-        from repro.core.workflow import SafetyVerifier
-
-        model, images, cut, _ = api_system
-        verifier = SafetyVerifier(model, cut)
-        assert isinstance(verifier.engine, VerificationEngine)
-        assert verifier.suffix is verifier.engine.suffix

@@ -31,6 +31,7 @@ from repro.api.portfolio import _decided, _run_config, _verdict_side
 from repro.nn import Dense, Flatten, ReLU, Sequential
 from repro.properties.library import steer_far_left
 from repro.scenario.regions import scenario_region_grid
+from repro.service import ResultStore
 
 _SETTINGS = settings(
     max_examples=8,
@@ -285,3 +286,28 @@ class TestCampaignRun:
         report = Portfolio(engine).run(campaign, workers=2)
         assert report.results[0].verdict is not None
         assert multiprocessing.active_children() == []
+
+    def test_parallel_race_store_written_by_parent(
+        self, model, enclosure_range, tmp_path
+    ):
+        """Racing workers compute without the store; the parent looks it
+        up before each race and writes every decided answer once."""
+        path = tmp_path / "s.jsonl"
+        engine = VerificationEngine(model, 3, solver="highs", store=ResultStore(path))
+        engine.add_region_sets(scenario_region_grid(n_scenes=1, seed=3))
+        lo, hi = enclosure_range
+        campaign = Campaign("race").add_grid(
+            risks=[steer_far_left(round(t, 3)) for t in (hi + 1.0, 0.5 * (lo + hi))],
+            properties=(None,),
+            sets=["region-000"],
+        )
+        first = Portfolio(engine).run(campaign, workers=2)
+        assert all(_decided(result) for result in first.results)
+        lines = path.read_text().splitlines()
+        assert len(engine.store) == len(lines) >= len(first.results)
+
+        rerun = Portfolio(engine).run(campaign, workers=2)
+        for before, after in zip(first.results, rerun.results):
+            assert after.decided_by.endswith(":store")
+            assert _verdict_side(after) == _verdict_side(before)
+        assert path.read_text().splitlines() == lines

@@ -37,6 +37,7 @@ from repro.scenario.regions import (
     ensure_regions_fit,
     scenario_region_grid,
 )
+from repro.service import ResultStore
 from repro.scenario.streaming import (
     StreamPlan,
     run_stream,
@@ -214,6 +215,24 @@ class TestWorkerDeath:
         assert report.executor == (
             "process-pool[2] (degraded to in-process: BrokenProcessPool)"
         )
+
+
+class TestStoreOwnership:
+    def test_stream_workers_leave_the_store_to_the_parent(
+        self, model, enclosure_range, tmp_path
+    ):
+        """Shard workers decide without the result store, so nothing is
+        appended to its file behind the parent's in-memory index."""
+        path = tmp_path / "s.jsonl"
+        engine = VerificationEngine(model, 3, solver="highs", store=ResultStore(path))
+        lo, hi = enclosure_range
+        risks = [steer_far_left(round(0.5 * (lo + hi), 3))]
+        plan = StreamPlan(n_scenes=4, shard_size=2)
+        report = run_stream(engine, plan, risks, workers=2, attack_steps=0)
+        # some regions got past the prescreen into the engine's ladder
+        assert report.decided_by_counts.get("prescreen", 0) < report.total_queries
+        lines = path.read_text().splitlines() if path.exists() else []
+        assert len(lines) == len(engine.store)
 
 
 class TestCoverageSampling:

@@ -2,6 +2,7 @@
 
 import numpy as np
 
+from repro.api import VerificationQuery
 from repro.core.verdict import Verdict
 from repro.perception.features import extract_features
 from repro.properties.library import steer_far_left
@@ -46,25 +47,30 @@ class TestVerificationQueries:
     def test_far_left_threshold_ladder(self, verified_system):
         """Raising the risk threshold flips UNSAFE to CONDITIONALLY_SAFE."""
         sys_ = verified_system
-        feature_set = sys_.verifier.feature_set("data")
-        hull = propagate_box(sys_.verifier.suffix, Box(*feature_set.bounds()))
+        feature_set = sys_.engine.feature_set("data")
+        hull = propagate_box(sys_.engine.suffix, Box(*feature_set.bounds()))
         impossible = float(hull.upper[0]) + 1.0
 
-        low = sys_.verifier.verify(steer_far_left(-100.0), property_name="bends_right")
-        high = sys_.verifier.verify(
-            steer_far_left(impossible), property_name="bends_right"
-        )
+        low = sys_.engine.run_query(
+            VerificationQuery(risk=steer_far_left(-100.0), property_name="bends_right")
+        ).verdict
+        high = sys_.engine.run_query(
+            VerificationQuery(
+                risk=steer_far_left(impossible),
+                property_name="bends_right",
+            )
+        ).verdict
         assert low.verdict is Verdict.UNSAFE_IN_SET  # everything steers "far left" of -100
         assert high.verdict is Verdict.CONDITIONALLY_SAFE
 
     def test_witness_is_valid_feature_vector(self, verified_system):
         sys_ = verified_system
-        verdict = sys_.verifier.verify(
-            steer_far_left(-100.0), property_name="bends_right"
-        )
+        verdict = sys_.engine.run_query(
+            VerificationQuery(risk=steer_far_left(-100.0), property_name="bends_right")
+        ).verdict
         cx = verdict.counterexample
         assert cx is not None
-        feature_set = sys_.verifier.feature_set("data")
+        feature_set = sys_.engine.feature_set("data")
         # LP solutions may sit on the boundary up to solver tolerance
         assert feature_set.contains(cx.features[None], tol=1e-6)[0]
         # the characterizer really accepts the witness (boundary-tolerant)
@@ -73,19 +79,22 @@ class TestVerificationQueries:
 
     def test_monitor_accepts_training_stream(self, verified_system):
         sys_ = verified_system
-        monitor = sys_.verifier.make_monitor()
+        monitor = sys_.engine.make_monitor()
         report = monitor.run(sys_.train_data.images[:40])
         assert report.violations == 0
 
     def test_statistical_guarantee_attached(self, verified_system):
         sys_ = verified_system
-        feature_set = sys_.verifier.feature_set("data")
-        hull = propagate_box(sys_.verifier.suffix, Box(*feature_set.bounds()))
-        verdict = sys_.verifier.verify(
-            steer_far_left(float(hull.upper[0]) + 1.0),
-            property_name="bends_right",
-            confusion=sys_.confusions["bends_right"],
-        )
+        feature_set = sys_.engine.feature_set("data")
+        hull = propagate_box(sys_.engine.suffix, Box(*feature_set.bounds()))
+        verdict = sys_.engine.run_query(
+            VerificationQuery(
+                risk=steer_far_left(float(hull.upper[0]) + 1.0),
+                property_name="bends_right",
+            )
+        ).verdict
         assert verdict.proved
+        # the pipeline attached each characterizer with its confusion
+        assert verdict.confusion is sys_.confusions["bends_right"]
         guarantee = verdict.statistical_guarantee
         assert guarantee is not None and 0.0 < guarantee <= 1.0

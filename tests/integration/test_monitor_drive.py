@@ -16,7 +16,7 @@ class TestMonitorOnDriveStreams:
         drive = simulate_drive(
             DriveConfig(num_frames=60), sys_.config.scene, seed=42
         )
-        monitor = sys_.verifier.make_monitor(keep_events=False)
+        monitor = sys_.engine.make_monitor(keep_events=False)
         report = monitor.run(drive.images)
         # temporally-correlated in-ODD frames: low violation rate
         assert report.violation_rate < 0.3
@@ -29,7 +29,7 @@ class TestMonitorOnDriveStreams:
             odd_exit_weather=Weather(brightness=0.3, noise_sigma=0.05),
         )
         drive = simulate_drive(config, sys_.config.scene, seed=43)
-        monitor = sys_.verifier.make_monitor()
+        monitor = sys_.engine.make_monitor()
         monitor.run(drive.images)
         events = monitor.report.events
         before = np.mean([e.violation for e in events[:30]])
@@ -45,7 +45,7 @@ class TestMonitorOnDriveStreams:
             odd_exit_weather=Weather(brightness=0.3),
         )
         drive = simulate_drive(config, sys_.config.scene, seed=44)
-        monitor = sys_.verifier.make_monitor()
+        monitor = sys_.engine.make_monitor()
         monitor.run(drive.images)
         violating = [e.frame_index for e in monitor.report.events if e.violation]
         if violating:
@@ -90,6 +90,6 @@ class TestCoverageOnDriveStreams:
             sys_.config.scene,
             seed=46,
         )
-        monitor = sys_.verifier.make_monitor(keep_events=False)
+        monitor = sys_.engine.make_monitor(keep_events=False)
         report = monitor.run(night.images)
         assert report.violation_rate > 0.3  # the interval monitor sees it

@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import gc
+import warnings
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -17,6 +21,8 @@ from repro.interchange import (
 from repro.interchange.vnnlib import VnnLibProperty
 from repro.nn import Dense, ReLU, Sequential
 from repro.properties.risk import RiskCondition, output_geq
+
+SMOKE_SUITE = Path(__file__).resolve().parents[2] / "benchmarks" / "instances" / "smoke"
 
 
 @pytest.fixture
@@ -110,6 +116,14 @@ class TestIndexRoundTrip:
         index.write_text(index.read_text().replace("sat", "maybe", 1))
         with pytest.raises(ValueError, match="maybe"):
             load_instances(instance_dir)
+
+    def test_index_file_is_closed(self):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            assert load_instances(SMOKE_SUITE)
+            gc.collect()
+        leaked = [w for w in caught if "instances.csv" in str(w.message)]
+        assert leaked == []
 
 
 class TestEngineCompilation:

@@ -29,12 +29,11 @@ from repro.verification.abstraction.domain import get_domain
 from repro.verification.abstraction.interval import propagate_box, transform
 from repro.verification.abstraction.propagate import (
     IntervalBoundError,
-    layer_interval,
-    layer_interval_batch,
-    propagate_input_box,
+    propagate_regions,
     region_boxes,
 )
 from repro.verification.abstraction.zonotope import ZonotopeBatch, propagate_zonotope
+from repro.verification.ir import lowered_prefix
 from repro.verification.sets import Box, BoxBatch
 
 ATOL = 1e-9
@@ -54,7 +53,7 @@ def _zonotope_batch(net, batch):
 
 
 def _region_box(model, lower, upper, to_layer):
-    """Canonical batch-of-one replacement for propagate_input_box."""
+    """Cut-layer box of one input region (a batch of one)."""
     return region_boxes(
         model, BoxBatch(lower[None], upper[None]), to_layer
     ).box(0)
@@ -293,36 +292,53 @@ class TestSoundnessProperties:
 class TestIntervalBoundErrorContext:
     """Inverted bounds must name the failing layer and region.
 
-    The first three tests exercise the *deprecated* shims' context
-    plumbing on purpose (the shims stay importable until removal), so
-    they opt in to the DeprecationWarning explicitly.
+    :func:`propagate_regions` re-raises a transformer's
+    :class:`IntervalBoundError` with the model layer of the failing op;
+    an inverted input batch is rejected before any layer runs.
     """
 
-    def test_scalar_layer_context(self, batched_convnet):
-        layer = batched_convnet.layers[0]
-        bad = np.ones((1, 12, 12))
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(IntervalBoundError, match="layer 3.*region 5") as exc:
-                layer_interval(layer, bad, -bad, layer_index=3, region_index=5)
-        assert exc.value.layer_index == 3
-        assert exc.value.region_index == 5
+    @staticmethod
+    def _fail_at(monkeypatch, fail_op, region_index):
+        """Make the interval transformer raise at ``fail_op`` only."""
+        original = INTERVAL.transform
 
-    def test_batch_reports_offending_region(self, batched_convnet):
-        layer = batched_convnet.layers[0]
+        def transform(op, element):
+            if op is fail_op:
+                raise IntervalBoundError(
+                    "interval has lower > upper bound", region_index=region_index
+                )
+            return original(op, element)
+
+        monkeypatch.setattr(INTERVAL, "transform", transform)
+
+    def test_scalar_layer_context(self, batched_convnet, monkeypatch):
+        program = lowered_prefix(batched_convnet, 6)
+        j = len(program.ops) - 1
+        self._fail_at(monkeypatch, program.ops[j], region_index=0)
+        lower = np.zeros((1, 1, 12, 12))
+        with pytest.raises(IntervalBoundError, match="layer .*region 0") as exc:
+            propagate_regions(batched_convnet, BoxBatch(lower, lower + 0.5), 6)
+        assert exc.value.layer_index == program.op_layers[j]
+        assert exc.value.region_index == 0
+
+    def test_batch_reports_offending_region(self, batched_convnet, monkeypatch):
+        program = lowered_prefix(batched_convnet, 6)
+        j = len(program.ops) // 2
+        self._fail_at(monkeypatch, program.ops[j], region_index=2)
         lower = np.zeros((4, 1, 12, 12))
-        upper = np.ones((4, 1, 12, 12))
-        upper[2] = -1.0  # only region 2 is inverted
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(IntervalBoundError, match="region 2") as exc:
-                layer_interval_batch(layer, lower, upper, layer_index=0)
-        assert exc.value.layer_index == 0
+        with pytest.raises(IntervalBoundError, match="region 2") as exc:
+            propagate_regions(batched_convnet, BoxBatch(lower, lower + 0.5), 6)
+        assert exc.value.layer_index == program.op_layers[j]
         assert exc.value.region_index == 2
 
     def test_propagate_names_entry_layer(self, batched_convnet):
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(IntervalBoundError) as exc:
-                propagate_input_box(batched_convnet, 1.0, 0.0, 2)
+        lower = np.zeros((4, 1, 12, 12))
+        upper = np.ones((4, 1, 12, 12))
+        upper[2] = -1.0  # only region 2 is inverted
+        with pytest.raises(IntervalBoundError, match="region 2") as exc:
+            propagate_regions(batched_convnet, BoxBatch(lower, upper), 2)
         assert exc.value.layer_index is None  # rejected before any layer ran
+        assert exc.value.region_index == 2
         assert "lower > upper" in str(exc.value)
 
     def test_batch_constructor_rejects_inverted_bounds(self):

@@ -147,20 +147,22 @@ class TestOutputRange:
 
 class TestVerifierPrescreenIntegration:
     def test_prescreen_fast_path_taken(self, rng):
-        from repro.core.workflow import SafetyVerifier
+        from repro.api import VerificationEngine, VerificationQuery
         from repro.perception.network import build_mlp_perception_network, default_cut_layer
 
         model = build_mlp_perception_network(input_dim=5, feature_width=6, seed=2)
         images = rng.uniform(0, 1, size=(150, 5))
         cut = default_cut_layer(model)
-        verifier = SafetyVerifier(model, cut)
-        fs = verifier.add_feature_set_from_data(images)
-        reach = output_range(verifier.suffix, fs)
+        engine = VerificationEngine(model, cut)
+        fs = engine.add_feature_set_from_data(images)
+        reach = output_range(engine.suffix, fs)
         risk = RiskCondition("never", (output_geq(2, 0, reach.upper + 50.0),))
-        verdict = verifier.verify(risk)
+        verdict = engine.run_query(VerificationQuery(risk=risk)).verdict
         assert verdict.proved
         assert verdict.solve_result.stats.get("prescreen") == "interval"
         # disabling the prescreen goes through the solver instead
-        verdict2 = verifier.verify(risk, prescreen_domain=None)
+        verdict2 = engine.run_query(
+            VerificationQuery(risk=risk, prescreen_domain=None)
+        ).verdict
         assert verdict2.proved
         assert "prescreen" not in verdict2.solve_result.stats
